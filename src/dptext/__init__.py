@@ -35,7 +35,6 @@ from .errors import (
 )
 from .mechanisms import (
     AdjacencySample,
-    DistanceCache,
     MechanismConfig,
     PerturbedDocument,
     adjacency_within_radius,

@@ -200,8 +200,25 @@ def _strip_comments(text: str) -> str:
     return "".join(out)
 
 
+_JSON_ESCAPES = {
+    "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "/": "/", "\\": "\\", '"': '"',
+}
+
+
+def _hex4(text: str, i: int) -> int | None:
+    """The value of the four hex digits at text[i:i + 4], or None."""
+    digits = text[i : i + 4]
+    if len(digits) == 4 and all(c in "0123456789abcdefABCDEF" for c in digits):
+        return int(digits, 16)
+    return None
+
+
 def _parse_quoted_string(text: str, i: int) -> tuple[str, int]:
-    """Parse a double-quoted string starting at text[i]; returns (value, next)."""
+    """Parse a double-quoted string starting at text[i]; returns (value, next).
+
+    Decodes the JSON escapes, joining a \\uXXXX surrogate pair into one
+    character; any other escaped character stands for itself.
+    """
     if i >= len(text) or text[i] != '"':
         raise ValueError("expected opening quote")
     i += 1
@@ -209,8 +226,17 @@ def _parse_quoted_string(text: str, i: int) -> tuple[str, int]:
     while i < len(text):
         ch = text[i]
         if ch == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
+            code = _hex4(text, i + 2) if text[i + 1] == "u" else None
+            if code is None:
+                out.append(_JSON_ESCAPES.get(text[i + 1], text[i + 1]))
+                i += 2
+                continue
+            i += 6
+            low = _hex4(text, i + 2) if text[i : i + 2] == "\\u" else None
+            if 0xD800 <= code < 0xDC00 and low is not None and 0xDC00 <= low < 0xE000:
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                i += 6
+            out.append(chr(code))
             continue
         if ch == '"':
             return "".join(out), i + 1

@@ -59,9 +59,12 @@ class _WrongAnswerGptClient:
 
     def generate(self, prompt: str) -> str:
         marker = 'For the given list of "INPUTS":\n'
-        start = prompt.rindex(marker) + len(marker)
-        end = prompt.index("\n", start)
-        count = prompt[start:end].count('", "') + 1
+        i = prompt.rindex(marker) + len(marker)  # at the list's "["
+        count = 0
+        # walk the quoted items: a token may hold a newline or '", "'
+        while prompt[i] != "]":
+            _, i = attacks_mod._parse_quoted_string(prompt, prompt.index('"', i))
+            count += 1
         rows = ",\n".join('["\x00wrong\x00"]' for _ in range(count))
         return f"[\n{rows}\n]"
 

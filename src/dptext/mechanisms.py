@@ -114,14 +114,16 @@ class MechanismConfig:
 
 @dataclass
 class AdjacencySample:
-    """One adjacency draw: the candidate set and, once scored, the sampling
-    distribution over it. ``candidates`` is ascending by token id and always
+    """One adjacency draw: the candidate set, each candidate's distance from
+    the origin's embedding and, once scored, the sampling distribution over
+    the candidates. ``candidates`` is ascending by token id and always
     contains ``origin`` (its distance 0 never exceeds the radius)."""
 
     origin: int
     radius: float
     perturbed_embedding: np.ndarray
     candidates: np.ndarray
+    distances: np.ndarray
     scores: np.ndarray | None = None
     probs: np.ndarray | None = None
 
@@ -143,26 +145,10 @@ class PerturbedDocument:
             )
 
 
-class DistanceCache:
-    """Lazily caches per-origin sorted distances over the table.
-
-    Speeds up repeated perturbation of the same token; the candidate sets it
-    yields are identical to a fresh linear scan (ties included on the radius
-    boundary, ascending-id order preserved by the stable sort).
-    """
-
-    def __init__(self, table: EmbeddingTable):
-        self._table = table
-        self._by_origin: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def sorted_distances(self, origin: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._by_origin.get(origin)
-        if cached is None:
-            d = self._table.distances_from(self._table.vector(origin))
-            order = np.argsort(d, kind="stable")
-            cached = (d[order], order)
-            self._by_origin[origin] = cached
-        return cached
+def _origin_row(origin: int, table: EmbeddingTable, dists: np.ndarray | None) -> np.ndarray:
+    """Distances from the origin's embedding to every token: ``dists`` when
+    the caller already holds that row, else a fresh scan."""
+    return table.distances_from(table.vector(origin)) if dists is None else dists
 
 
 def adjacency_within_radius(
@@ -170,7 +156,7 @@ def adjacency_within_radius(
     table: EmbeddingTable,
     radius: float,
     perturbed_embedding: np.ndarray | None = None,
-    cache: DistanceCache | None = None,
+    dists: np.ndarray | None = None,
 ) -> AdjacencySample:
     """Deterministic range query: all tokens within ``radius`` of the origin's
     embedding. The randomized mechanism draws the radius; verification and
@@ -179,18 +165,14 @@ def adjacency_within_radius(
         raise ContractError(f"radius must be >= 0, got {radius}")
     if perturbed_embedding is None:
         perturbed_embedding = table.vector(origin).astype(np.float64)
-    if cache is not None:
-        dists, order = cache.sorted_distances(origin)
-        cut = int(np.searchsorted(dists, radius, side="right"))
-        candidates = np.sort(order[:cut])
-    else:
-        d = table.distances_from(table.vector(origin))
-        candidates = np.nonzero(d <= radius)[0]
+    d = _origin_row(origin, table, dists)
+    candidates = np.nonzero(d <= radius)[0]
     return AdjacencySample(
         origin=origin,
         radius=float(radius),
         perturbed_embedding=np.asarray(perturbed_embedding, dtype=np.float64),
         candidates=candidates,
+        distances=d[candidates],
     )
 
 
@@ -199,7 +181,7 @@ def compute_random_adjacency(
     table: EmbeddingTable,
     cfg: MechanismConfig,
     rng: Rng,
-    cache: DistanceCache | None = None,
+    dists: np.ndarray | None = None,
 ) -> AdjacencySample:
     """Draw a random adjacency for ``origin``.
 
@@ -213,14 +195,14 @@ def compute_random_adjacency(
     noise = sample_laplace_vector(table.dim, scale, rng)
     radius = float(np.linalg.norm(noise))
     perturbed = table.vector(origin).astype(np.float64) + noise
-    return adjacency_within_radius(origin, table, radius, perturbed, cache=cache)
+    return adjacency_within_radius(origin, table, radius, perturbed, dists)
 
 
 def topk_adjacency(
     origin: int,
     table: EmbeddingTable,
     k: int,
-    cache: DistanceCache | None = None,
+    dists: np.ndarray | None = None,
 ) -> AdjacencySample:
     """Fixed adjacency: the origin plus its k-1 nearest tokens.
 
@@ -228,31 +210,34 @@ def topk_adjacency(
     even when another token shares its embedding.
     """
     k = min(k, len(table))
-    if cache is not None:
-        dists, order = cache.sorted_distances(origin)
-    else:
-        d = table.distances_from(table.vector(origin))
-        order = np.argsort(d, kind="stable")
-        dists = d[order]
-    rest_pos = np.nonzero(order != origin)[0][: k - 1]
-    radius = float(dists[rest_pos].max()) if rest_pos.size else 0.0
-    candidates = np.sort(np.concatenate([[origin], order[rest_pos]])).astype(int)
+    d = _origin_row(origin, table, dists)
+    # the origin ranks first; the k-th smallest key is the farthest member
+    key = d.copy()
+    key[origin] = -1.0
+    kth = np.partition(key, k - 1)[k - 1]
+    below = np.nonzero(key < kth)[0]
+    ties = np.nonzero(key == kth)[0][: k - below.size]
+    candidates = np.sort(np.concatenate([below, ties]))
     return AdjacencySample(
         origin=origin,
-        radius=radius,
+        radius=float(max(kth, 0.0)),
         perturbed_embedding=table.vector(origin).astype(np.float64),
         candidates=candidates,
+        distances=d[candidates],
     )
 
 
-def global_adjacency(origin: int, table: EmbeddingTable) -> AdjacencySample:
+def global_adjacency(
+    origin: int, table: EmbeddingTable, dists: np.ndarray | None = None
+) -> AdjacencySample:
     """Fixed adjacency: the whole vocabulary."""
-    d = table.distances_from(table.vector(origin))
+    d = _origin_row(origin, table, dists)
     return AdjacencySample(
         origin=origin,
         radius=float(d.max()),
         perturbed_embedding=table.vector(origin).astype(np.float64),
         candidates=np.arange(len(table)),
+        distances=d,
     )
 
 
@@ -275,15 +260,13 @@ def score_candidates(
     if cands.size == 1:
         return np.ones(1)
     mode = cfg.scoring_mode if cfg.kind == "rantext" else "def4-consistent"
-    rows = table.rows[cands].astype(np.float64)
     if mode == "def4-consistent":
-        origin_vec = table.vector(sample.origin).astype(np.float64)
-        d = np.sqrt(((rows - origin_vec) ** 2).sum(axis=1))
-        return np.clip(1.0 - minmax_normalize(d), 0.0, 1.0)
+        return np.clip(1.0 - minmax_normalize(sample.distances), 0.0, 1.0)
     # paper-final
     origin_vec = table.vector(sample.origin).astype(np.float64)
     if np.array_equal(sample.perturbed_embedding, origin_vec):
         return np.ones(cands.size)
+    rows = table.rows[cands].astype(np.float64)
     d_hat = np.sqrt(((rows - sample.perturbed_embedding) ** 2).sum(axis=1))
     normalized = minmax_normalize(d_hat)
     origin_pos = int(np.searchsorted(cands, sample.origin))
@@ -298,15 +281,18 @@ def perturb_token(
     table: EmbeddingTable,
     cfg: MechanismConfig,
     rng: Rng,
-    cache: DistanceCache | None = None,
+    dists: np.ndarray | None = None,
 ) -> tuple[int, AdjacencySample]:
-    """Replace one token: build its adjacency, score, and sample a candidate."""
+    """Replace one token: build its adjacency, score, and sample a candidate.
+
+    ``dists`` is the origin's distance row when the caller already holds it.
+    """
     if cfg.kind == "rantext":
-        sample = compute_random_adjacency(origin, table, cfg, rng, cache=cache)
+        sample = compute_random_adjacency(origin, table, cfg, rng, dists)
     elif cfg.kind == "topk":
-        sample = topk_adjacency(origin, table, cfg.top_k, cache=cache)
+        sample = topk_adjacency(origin, table, cfg.top_k, dists)
     else:
-        sample = global_adjacency(origin, table)
+        sample = global_adjacency(origin, table, dists)
     sample.scores = score_candidates(sample, table, cfg)
     sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
     choice = sample_categorical(sample.probs, rng)
@@ -323,28 +309,33 @@ def perturb_document(
     """Produce ``n_docs`` independent perturbed copies of ``doc``.
 
     Token i of copy j draws from the child stream keyed (j, i), so copies
-    are replayable and order-independent.
+    are replayable and order-independent. That lets every draw of one
+    origin run on a single distance row, computed once and then dropped:
+    one row is alive at a time, whatever the document's length.
     """
     if n_docs < 1:
         raise ContractError(f"n_docs must be >= 1, got {n_docs}")
-    cache = DistanceCache(table)
-    out: list[PerturbedDocument] = []
-    for j in range(1, n_docs + 1):
-        perturbed: list[int] = []
-        sizes: list[int] = []
-        for i, origin in enumerate(doc):
-            token, sample = perturb_token(origin, table, cfg, rng.child(j, i), cache=cache)
-            perturbed.append(token)
-            sizes.append(int(sample.candidates.size))
-        out.append(
-            PerturbedDocument(
-                original_ids=doc,
-                perturbed_ids=TokenIdSeq(ids=tuple(perturbed)),
-                doc_index=j,
-                adjacency_sizes=tuple(sizes),
-            )
+    positions: dict[int, list[int]] = {}
+    for i, origin in enumerate(doc):
+        positions.setdefault(origin, []).append(i)
+    perturbed = [[0] * len(doc) for _ in range(n_docs)]
+    sizes = [[0] * len(doc) for _ in range(n_docs)]
+    for origin, where in positions.items():
+        dists = table.distances_from(table.vector(origin))
+        for j in range(n_docs):
+            for i in where:
+                token, sample = perturb_token(origin, table, cfg, rng.child(j + 1, i), dists)
+                perturbed[j][i] = token
+                sizes[j][i] = int(sample.candidates.size)
+    return [
+        PerturbedDocument(
+            original_ids=doc,
+            perturbed_ids=TokenIdSeq(ids=tuple(perturbed[j])),
+            doc_index=j + 1,
+            adjacency_sizes=tuple(sizes[j]),
         )
-    return out
+        for j in range(n_docs)
+    ]
 
 
 def write_perturbed_jsonl(

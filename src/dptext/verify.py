@@ -177,10 +177,11 @@ def check_membership_monotonicity(
             f"nearer token is farther than farther token ({d_near} > {d_far})"
         )
     cfg = MechanismConfig(kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap)
+    dists = table.distances_from(table.vector(origin))
     hits_near = 0
     hits_far = 0
     for _ in range(trials):
-        sample = compute_random_adjacency(origin, table, cfg, rng)
+        sample = compute_random_adjacency(origin, table, cfg, rng, dists)
         cands = sample.candidates
         pos = np.searchsorted(cands, nearer)
         if pos < cands.size and cands[pos] == nearer:
@@ -236,10 +237,11 @@ def check_full_support(
         kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap,
         laplace_sensitivity=sensitivity,
     )
+    rows = [table.distances_from(table.vector(o)) for o in range(vocab_size)]
     observed = np.zeros((vocab_size, vocab_size), dtype=bool)
     for t in range(trials):
         origin = t % vocab_size
-        sample = compute_random_adjacency(origin, table, cfg, rng)
+        sample = compute_random_adjacency(origin, table, cfg, rng, rows[origin])
         observed[origin, sample.candidates] = True
     coverage = float(observed.mean())
     missing = int(observed.size - observed.sum())
@@ -282,10 +284,10 @@ def check_document_privacy_monotonicity(
         dists = table.distances_from(table.vector(origin))
         for radius in sorted(set(float(d) for d in dists)):
             perturbed = table.vector(origin).astype(np.float64) + radius * direction
-            sample = adjacency_within_radius(origin, table, radius, perturbed)
+            sample = adjacency_within_radius(origin, table, radius, perturbed, dists)
             scores = score_candidates(sample, table, cfg)
             probs = exp_mechanism_probs(scores, cfg.epsilon_em, 1.0)
-            cand_d = dists[sample.candidates]
+            cand_d = sample.distances
             sets_checked += 1
             n = sample.candidates.size
             for a in range(n):

@@ -137,7 +137,7 @@ class EmbeddingTable:
             raise ContractError(
                 f"vector has dimension {v.shape}, table dimension is {self.dim}"
             )
-        diff = self.rows.astype(np.float64, copy=False) - v
+        diff = self.rows - v  # float32 rows promote to float64 against v
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     def nearest(self, vec, k: int) -> np.ndarray:

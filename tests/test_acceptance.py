@@ -17,7 +17,7 @@ from dptext.attacks import (
 )
 from dptext.cli import main as cli_main
 from dptext.dpcore import Rng, exp_mechanism_probs, sample_categorical, sample_laplace_vector
-from dptext.mechanisms import DistanceCache, MechanismConfig, perturb_token
+from dptext.mechanisms import MechanismConfig, perturb_token
 from dptext.metrics import coherence, diversity, levenshtein
 from dptext.pipeline import build_inference_prompt, build_restoration_prompt
 from dptext.vocab import EmbeddingTable
@@ -162,11 +162,11 @@ def _trend_privacy(table, nn_sets, kind, eps, seed, draws_per_origin):
         kind=kind, epsilon_em=eps, epsilon_lap=eps if kind == "rantext" else None
     )
     rng = Rng(seed)
-    cache = DistanceCache(table)
     recovered = total = 0
     for origin in range(len(table)):
+        row = table.distances_from(table.vector(origin))
         for d in range(draws_per_origin):
-            out, _ = perturb_token(origin, table, cfg, rng.child(origin, d), cache=cache)
+            out, _ = perturb_token(origin, table, cfg, rng.child(origin, d), row)
             total += 1
             if origin in nn_sets[out]:
                 recovered += 1

@@ -184,6 +184,22 @@ class TestParseGptAttackResponse:
         with pytest.raises(ContractError):
             parse_gpt_attack_response(EXAMPLE_RESPONSE, 0)
 
+    def test_json_escapes_decoded(self):
+        assert parse_gpt_attack_response('[["\\n"]]', 1) == ["\n"]
+        assert parse_gpt_attack_response('[["\\t"], ["\\u00e9"]]', 2) == ["\t", "\u00e9"]
+        body = r'[["\n\t\r\b\f\/\\\""]]'
+        assert parse_gpt_attack_response(body, 1) == ["\n\t\r\b\f/\\\""]
+
+    def test_surrogate_pair_joined(self):
+        assert parse_gpt_attack_response(r'[["\ud83d\ude00"]]', 1) == ["\U0001F600"]
+        # a lone high surrogate stays one code point; the next escape decodes alone
+        assert parse_gpt_attack_response(r'[["\ud83d\u0041"]]', 1) == ["\ud83dA"]
+
+    def test_other_escapes_keep_the_escaped_character(self):
+        assert parse_gpt_attack_response(r'[["\q"], ["\u12"], ["\uzzzz"]]', 3) == [
+            "q", "u12", "uzzzz",
+        ]
+
     def test_round_trip_with_echo_predictions(self):
         tokens = ["alpha", "beta", 'ga"mma']
         client = ScriptedGptClient({})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dptext.pipeline as pipeline
-from dptext.cli import main
+from dptext.attacks import gpt_inference_attack
+from dptext.cli import _WrongAnswerGptClient, main
 from dptext.mechanisms import read_perturbed_jsonl
 from dptext.metrics import levenshtein
 
@@ -214,6 +215,14 @@ class TestAttackCommand:
         ])
         assert code == 0
         assert "privacy=1.0000" in capsys.readouterr().out
+
+    def test_wrong_answer_gpt_mock_counts_tokens_holding_newlines(self):
+        tokens = ["a", "\n", "b", "c"]
+        report = gpt_inference_attack(tokens, tokens, _WrongAnswerGptClient())
+        assert not report.failed and report.asr == 0
+        tokens = ['x", "y', "a\\", "\n\n", '"']
+        report = gpt_inference_attack(tokens, tokens, _WrongAnswerGptClient())
+        assert not report.failed and report.asr == 0
 
     def test_mask_attack_requires_mock(self, corpus, tmp_path, capsys):
         vocab, emb, _ = corpus

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptext.dpcore import Rng
 from dptext.errors import ContractError
 from dptext.mechanisms import (
-    DistanceCache,
     MechanismConfig,
     adjacency_within_radius,
     compute_random_adjacency,
@@ -30,6 +31,16 @@ def brute_force_range_query(table, origin, radius):
         if d <= radius:
             out.append(tid)
     return out
+
+
+def stable_topk_oracle(table, origin, k):
+    """Independent oracle: the origin plus the k-1 nearest others by a stable
+    argsort (ties to the smaller id), and the farthest member's distance."""
+    rows = np.asarray(table.rows, dtype=float)
+    d = np.linalg.norm(rows - rows[origin], axis=1)
+    others = [int(t) for t in np.argsort(d, kind="stable") if t != origin][: k - 1]
+    radius = float(max(d[others])) if others else 0.0
+    return sorted([origin] + others), radius
 
 
 class TestMechanismConfig:
@@ -115,13 +126,29 @@ class TestRandomAdjacency:
         with pytest.raises(ContractError):
             compute_random_adjacency(0, table, MechanismConfig(kind="topk"), Rng(0))
 
-    def test_cache_path_matches_scan_path(self, rantext_cfg):
+    def test_given_row_matches_scan(self):
         _, table = line_vocab_table([0.0, 0.5, 1.5, 2.0, 7.0])
-        cache = DistanceCache(table)
+        row = table.distances_from(table.vector(1))
         for radius in (0.0, 0.4, 0.5, 1.5, 2.0, 3.3, 10.0):
-            with_cache = adjacency_within_radius(1, table, radius, cache=cache)
-            without = adjacency_within_radius(1, table, radius)
-            assert with_cache.candidates.tolist() == without.candidates.tolist()
+            given_row = adjacency_within_radius(1, table, radius, dists=row)
+            scanned = adjacency_within_radius(1, table, radius)
+            assert given_row.candidates.tolist() == scanned.candidates.tolist()
+            assert given_row.candidates.tolist() == brute_force_range_query(table, 1, radius)
+            assert given_row.distances.tolist() == scanned.distances.tolist()
+        for k in range(1, 6):
+            assert (topk_adjacency(1, table, k, dists=row).candidates.tolist()
+                    == topk_adjacency(1, table, k).candidates.tolist())
+        assert global_adjacency(1, table, dists=row).radius == global_adjacency(1, table).radius
+
+    def test_distances_are_the_candidates_row_entries(self, rantext_cfg):
+        _, table = line_vocab_table([0.0, 0.7, 1.9, 2.4, 5.0])
+        row = table.distances_from(table.vector(2))
+        rng = Rng(12)
+        for _ in range(50):
+            sample = compute_random_adjacency(2, table, rantext_cfg, rng)
+            assert sample.distances.tolist() == row[sample.candidates].tolist()
+        for sample in (topk_adjacency(2, table, 3), global_adjacency(2, table)):
+            assert sample.distances.tolist() == row[sample.candidates].tolist()
 
 
 class TestFixedAdjacencies:
@@ -141,6 +168,26 @@ class TestFixedAdjacencies:
         sample = topk_adjacency(1, table, 1)
         assert sample.candidates.tolist() == [1]
         assert topk_adjacency(1, table, 2).candidates.tolist() == [0, 1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                min_size=1, max_size=12,
+            )
+        ),
+        st.data(),
+    )
+    def test_topk_matches_stable_argsort_oracle(self, rows, data):
+        # small integer grids: exact distances and many ties, duplicates included
+        table = EmbeddingTable.from_rows(rows)
+        origin = data.draw(st.integers(0, len(rows) - 1))
+        for k in range(1, len(rows) + 1):
+            sample = topk_adjacency(origin, table, k)
+            candidates, radius = stable_topk_oracle(table, origin, k)
+            assert sample.candidates.tolist() == candidates
+            assert sample.radius == radius
 
     def test_global_covers_vocab(self):
         _, table = line_vocab_table([0.0, 1.0, 5.0])
@@ -311,6 +358,25 @@ class TestPerturbDocument:
         _, table = line_vocab_table([0.0, 1.0])
         with pytest.raises(ContractError):
             perturb_document(TokenIdSeq(ids=(0,)), table, rantext_cfg, 0, Rng(0))
+
+    @pytest.mark.parametrize("cfg", [
+        MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.0),
+        MechanismConfig(kind="topk", epsilon_em=2.0, top_k=2),
+        MechanismConfig(kind="global", epsilon_em=2.0),
+    ], ids=lambda c: c.kind)
+    def test_one_distance_row_per_distinct_origin(self, monkeypatch, cfg):
+        _, table = line_vocab_table([0.0, 0.5, 1.0, 2.0, 4.0])
+        scanned = []
+        scan = EmbeddingTable.distances_from
+
+        def counted(self, vec):
+            scanned.append(float(vec[0]))
+            return scan(self, vec)
+
+        monkeypatch.setattr(EmbeddingTable, "distances_from", counted)
+        doc = TokenIdSeq(ids=(3, 0, 3, 1, 0, 3, 2))
+        perturb_document(doc, table, cfg, 3, Rng(5))
+        assert sorted(scanned) == [0.0, 0.5, 1.0, 2.0]
 
     def test_order_independence_of_token_streams(self, rantext_cfg):
         # token i of copy j depends only on (seed, j, i), not on processing order
