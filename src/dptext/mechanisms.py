@@ -30,7 +30,8 @@ from .dpcore import (
     sample_laplace_vector,
 )
 from .errors import ContractError
-from .vocab import EmbeddingTable, TokenIdSeq
+from .fileio import atomic_write
+from .vocab import EmbeddingTable, TokenIdSeq, _k_smallest
 
 KINDS = ("rantext", "topk", "global")
 SCORING_MODES = ("def4-consistent", "paper-final")
@@ -214,13 +215,10 @@ def topk_adjacency(
     # the origin ranks first; the k-th smallest key is the farthest member
     key = d.copy()
     key[origin] = -1.0
-    kth = np.partition(key, k - 1)[k - 1]
-    below = np.nonzero(key < kth)[0]
-    ties = np.nonzero(key == kth)[0][: k - below.size]
-    candidates = np.sort(np.concatenate([below, ties]))
+    candidates, kth = _k_smallest(key, k)
     return AdjacencySample(
         origin=origin,
-        radius=float(max(kth, 0.0)),
+        radius=max(kth, 0.0),
         perturbed_embedding=table.vector(origin).astype(np.float64),
         candidates=candidates,
         distances=d[candidates],
@@ -349,10 +347,11 @@ def write_perturbed_jsonl(
     """Write one JSON object per perturbed document.
 
     ``redact=True`` omits original ids so the output can leave the
-    evaluation environment without shipping the raw document.
+    evaluation environment without shipping the raw document. An earlier
+    file at ``path`` is replaced only once the new one is complete.
     """
     snapshot = cfg.to_snapshot()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for i, doc in enumerate(docs):
             record = {
                 "doc_index": doc.doc_index,

@@ -30,6 +30,7 @@ from .errors import (
     EndpointTimeoutError,
     TransientEndpointError,
 )
+from .fileio import atomic_write
 from .mechanisms import MechanismConfig, perturb_document
 from .vocab import EmbeddingTable, Vocabulary, detokenize_text, tokenize
 
@@ -250,10 +251,11 @@ class RunRecord:
 
 
 def save_run_record(record: RunRecord, runs_dir) -> str:
-    """Persist a run as pretty-printed JSON named <run_id>.json."""
+    """Persist a run as pretty-printed JSON named <run_id>.json, replacing
+    any earlier file of that name only once the new one is complete."""
     os.makedirs(runs_dir, exist_ok=True)
     path = os.path.join(str(runs_dir), f"{record.run_id}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -35,6 +35,10 @@ VOCAB_MAGIC = "DPTEXT-VOCAB v1"
 EMB_MAGIC = "DPTEXT-EMB v1"
 MERGES_MAGIC = "DPTEXT-MERGES v1"
 
+# bytes of one float64 block of rows in distances_from: small enough to stay
+# in cache, large enough that the per-block overhead is noise
+_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -131,21 +135,52 @@ class EmbeddingTable:
         return self.rows[token_id]
 
     def distances_from(self, vec) -> np.ndarray:
-        """Euclidean distance from ``vec`` to every row (float64)."""
+        """Euclidean distance from ``vec`` to every row (float64).
+
+        The rows are cast to float64 (exactly) one ``_BLOCK_BYTES`` block at a
+        time, so memory beyond the returned row is one block. Every distance
+        is bit-identical to the one-shot ``diff = rows - v`` then
+        ``np.sqrt(np.einsum("ij,ij->i", diff, diff))``.
+        """
         v = np.asarray(vec, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ContractError(
                 f"vector has dimension {v.shape}, table dimension is {self.dim}"
             )
-        diff = self.rows - v  # float32 rows promote to float64 against v
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if not np.all(np.isfinite(v)):
+            raise ContractError("vector has non-finite values")
+        size = len(self)
+        # einsum sums a lone row of more than 8,192 values in buffer-sized
+        # chunks, a different order, so a block holds at least two rows and the
+        # last block ends at the table's end, overlapping the one before it
+        # instead of shrinking
+        n = min(max(2, _BLOCK_BYTES // (8 * self.dim)), size)
+        out = np.empty(size)
+        block = np.empty((n, self.dim))
+        for start in range(0, size, n):
+            first = min(start, size - n)
+            block[...] = self.rows[first : first + n]
+            block -= v
+            np.einsum("ij,ij->i", block, block, out=out[first : first + n])
+        return np.sqrt(out, out=out)
 
     def nearest(self, vec, k: int) -> np.ndarray:
-        """Ids of the k nearest tokens to ``vec``; ties broken by smaller id."""
+        """Ids of the k nearest tokens to ``vec``, nearest first; ties broken
+        by smaller id."""
         if not 1 <= k <= len(self):
             raise ContractError(f"k must be in [1, {len(self)}], got {k}")
         d = self.distances_from(vec)
-        return np.argsort(d, kind="stable")[:k]
+        ids, _ = _k_smallest(d, k)
+        return ids[np.argsort(d[ids], kind="stable")]
+
+
+def _k_smallest(key: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Ids of the k smallest entries of ``key`` in ascending id order, ties at
+    the k-th smallest value going to the smaller ids, and that value. O(|key|)."""
+    kth = np.partition(key, k - 1)[k - 1]
+    below = np.nonzero(key < kth)[0]
+    ties = np.nonzero(key == kth)[0][: k - below.size]
+    return np.sort(np.concatenate([below, ties])), float(kth)
 
 
 def distance(a, b) -> float:
@@ -157,14 +192,26 @@ def distance(a, b) -> float:
     return float(np.linalg.norm(av - bv))
 
 
+def _numbered_lines(fh):
+    """Yield (line number, line) for an open text file, without line endings.
+
+    Trailing blank lines are tolerated and dropped; blank lines followed by
+    content are yielded like any other line.
+    """
+    blank: list[tuple[int, str]] = []
+    for line_no, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if line.strip() == "":
+            blank.append((line_no, line))
+            continue
+        yield from blank
+        blank.clear()
+        yield line_no, line
+
+
 def _read_lines(path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    # tolerate trailing blank lines only
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    return lines
+        return [line for _, line in _numbered_lines(fh)]
 
 
 def _parse_header(line: str, magic: str, n_fields: int) -> list[int]:
@@ -245,51 +292,70 @@ def load_merges(path) -> dict[tuple[bytes, bytes], int]:
 
 
 def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
-    """Load an embedding file whose entry count must equal the vocabulary size."""
-    lines = _read_lines(path)
-    if not lines:
-        raise EmbeddingFormatError("empty embedding file")
-    try:
-        count, dim = _parse_header(lines[0], EMB_MAGIC, 2)
-    except VocabParseError as exc:
-        raise EmbeddingFormatError(str(exc)) from None
-    if count != len(vocab):
-        raise EmbeddingFormatError(
-            f"header declares {count} rows but vocabulary has {len(vocab)} tokens"
-        )
-    if dim < 1:
-        raise EmbeddingFormatError(f"dimension must be >= 1, got {dim}")
-    body = lines[1:]
-    if len(body) != count:
-        raise EmbeddingFormatError(
-            f"header declares {count} rows but file has {len(body)}"
-        )
-    rows = np.empty((count, dim), dtype=np.float32)
-    seen = np.zeros(count, dtype=bool)
-    for line_no, line in enumerate(body, start=2):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise EmbeddingFormatError(
-                f"line {line_no}: expected '<id>\\t<floats>', got {line!r}"
-            )
+    """Load an embedding file whose entry count must equal the vocabulary size.
+
+    The file is read line by line into the float32 table, so memory beyond
+    the table is one line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = _numbered_lines(fh)
+        first = next(lines, None)
+        if first is None:
+            raise EmbeddingFormatError("empty embedding file")
         try:
-            tid = int(parts[0])
-            values = np.array(parts[1].split(), dtype=np.float64)
-        except ValueError as exc:
-            raise EmbeddingFormatError(f"line {line_no}: {exc}") from None
-        if not 0 <= tid < count:
-            raise EmbeddingFormatError(f"line {line_no}: token id {tid} out of range")
-        if seen[tid]:
-            raise EmbeddingFormatError(f"line {line_no}: duplicate row for id {tid}")
-        if values.shape != (dim,):
+            count, dim = _parse_header(first[1], EMB_MAGIC, 2)
+        except VocabParseError as exc:
+            raise EmbeddingFormatError(str(exc)) from None
+        if count != len(vocab):
             raise EmbeddingFormatError(
-                f"line {line_no}: expected {dim} values, got {values.size}"
+                f"header declares {count} rows but vocabulary has {len(vocab)} tokens"
             )
-        if not np.all(np.isfinite(values)):
-            raise EmbeddingDataError(f"line {line_no}: non-finite embedding value")
-        rows[tid] = values
-        seen[tid] = True
+        if dim < 1:
+            raise EmbeddingFormatError(f"dimension must be >= 1, got {dim}")
+        rows = np.empty((count, dim), dtype=np.float32)
+        seen = np.zeros(count, dtype=bool)
+        n_body = 0
+        error = None
+        for line_no, line in lines:
+            n_body = line_no - 1
+            if error is None:  # a line past the count always fails, ending the parse
+                try:
+                    _fill_row(rows, seen, line_no, line)
+                except (EmbeddingFormatError, EmbeddingDataError) as exc:
+                    error = exc
+    # a wrong row count outranks a bad line, as when the whole file was checked first
+    if n_body != count:
+        raise EmbeddingFormatError(f"header declares {count} rows but file has {n_body}")
+    if error is not None:
+        raise error
     return EmbeddingTable.from_rows(rows)
+
+
+def _fill_row(rows: np.ndarray, seen: np.ndarray, line_no: int, line: str) -> None:
+    """Parse one ``<id>\\t<floats>`` line into ``rows[id]``."""
+    count, dim = rows.shape
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise EmbeddingFormatError(
+            f"line {line_no}: expected '<id>\\t<floats>', got {line!r}"
+        )
+    try:
+        tid = int(parts[0])
+        values = np.array(parts[1].split(), dtype=np.float64)
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"line {line_no}: {exc}") from None
+    if not 0 <= tid < count:
+        raise EmbeddingFormatError(f"line {line_no}: token id {tid} out of range")
+    if seen[tid]:
+        raise EmbeddingFormatError(f"line {line_no}: duplicate row for id {tid}")
+    if values.shape != (dim,):
+        raise EmbeddingFormatError(
+            f"line {line_no}: expected {dim} values, got {values.size}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise EmbeddingDataError(f"line {line_no}: non-finite embedding value")
+    rows[tid] = values
+    seen[tid] = True
 
 
 def tokenize(text: str | bytes, vocab: Vocabulary) -> TokenIdSeq:

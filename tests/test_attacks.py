@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptext.attacks import (
     AttackReport,
@@ -12,7 +15,7 @@ from dptext.attacks import (
     parse_gpt_attack_response,
 )
 from dptext.errors import AttackParseError, ContractError, EndpointError
-from dptext.vocab import TokenIdSeq
+from dptext.vocab import EmbeddingTable, TokenIdSeq
 
 from .conftest import line_vocab_table
 
@@ -81,6 +84,29 @@ class TestEmbeddingInversion:
         )
         assert not report.per_token[0].recovered
         assert report.asr == 0.0 and report.privacy == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.tuples(
+                st.lists(
+                    st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                    min_size=1, max_size=12,
+                ),
+                st.lists(st.integers(-1, 4), min_size=dim, max_size=dim),
+            )
+        ),
+        st.data(),
+    )
+    def test_nearest_matches_oracle(self, rows_and_point, data):
+        # small integer grids: exact distances and many ties, duplicates included;
+        # queries at a table row and at an arbitrary grid point
+        rows, point = rows_and_point
+        table = EmbeddingTable.from_rows(rows)
+        row = table.vector(data.draw(st.integers(0, len(rows) - 1))).astype(float)
+        for vec in (row, np.asarray(point, dtype=float)):
+            for k in range(1, len(rows) + 1):
+                assert table.nearest(vec, k).tolist() == nearest_ids_oracle(table, vec, k)
 
     def test_candidates_at_k_prefix_of_k_plus_one(self):
         _, table = line_vocab_table([0.0, 0.5, 1.2, 3.0, 4.5])

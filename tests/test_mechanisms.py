@@ -1,8 +1,12 @@
+import json
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dptext.mechanisms as mechanisms
 from dptext.dpcore import Rng
 from dptext.errors import ContractError
 from dptext.mechanisms import (
@@ -404,6 +408,28 @@ class TestPerturbedJsonl:
         assert records[0]["config"]["kind"] == "rantext"
         assert records[0]["perturbed_text"] == "aa"
         assert records[1]["perturbed_ids"] == list(docs[1].perturbed_ids)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, rantext_cfg, monkeypatch):
+        _, table = line_vocab_table([0.0, 1.0, 2.0])
+        docs = perturb_document(TokenIdSeq(ids=(0, 1, 2)), table, rantext_cfg, 3, Rng(3))
+        path = tmp_path / "out.jsonl"
+        write_perturbed_jsonl(path, docs[:1], seed=99, cfg=rantext_cfg)
+        before = path.read_bytes()
+        calls = []
+
+        def dumps_then_fail(record, **kwargs):
+            calls.append(record)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return json.dumps(record, **kwargs)
+
+        monkeypatch.setattr(
+            mechanisms, "json", types.SimpleNamespace(dumps=dumps_then_fail)
+        )
+        with pytest.raises(OSError, match="disk full"):
+            write_perturbed_jsonl(path, docs, seed=3, cfg=rantext_cfg)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
     def test_redact_omits_originals(self, tmp_path, rantext_cfg):
         _, table = line_vocab_table([0.0, 1.0])

@@ -1,4 +1,5 @@
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -291,21 +292,49 @@ class TestRunPrivinfer:
             )
 
 
+def _record(restored_text="r"):
+    return RunRecord(
+        run_id="run-x",
+        raw_document="doc",
+        instruction="I",
+        restoration_instruction="I2",
+        config={"n_docs": 2},
+        perturbed_documents=[{"doc_index": 1, "ids": [0], "text": "t0",
+                              "adjacency_sizes": [1]}],
+        generations=["g"],
+        restored_text=restored_text,
+        status="ok",
+        timestamps={"started": "now"},
+    )
+
+
 class TestRunRecordPersistence:
     def test_json_round_trip(self, tmp_path):
-        record = RunRecord(
-            run_id="run-x",
-            raw_document="doc",
-            instruction="I",
-            restoration_instruction="I2",
-            config={"n_docs": 2},
-            perturbed_documents=[{"doc_index": 1, "ids": [0], "text": "t0",
-                                  "adjacency_sizes": [1]}],
-            generations=["g"],
-            restored_text="r",
-            status="ok",
-            timestamps={"started": "now"},
-        )
+        record = _record()
         path = save_run_record(record, tmp_path)
         loaded = load_run_record(path)
         assert loaded == record
+
+    def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
+        path = save_run_record(_record(), tmp_path)
+        before = Path(path).read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"run_id": "run-x", "raw_doc')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "json", types.SimpleNamespace(dump=dump_then_fail))
+        with pytest.raises(OSError, match="disk full"):
+            save_run_record(_record(restored_text="new"), tmp_path)
+        assert Path(path).read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run-x.json"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(obj, fh, **kwargs):
+            fh.write("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "json", types.SimpleNamespace(dump=fail))
+        with pytest.raises(KeyboardInterrupt):
+            save_run_record(_record(), tmp_path)
+        assert list(tmp_path.iterdir()) == []

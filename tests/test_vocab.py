@@ -1,4 +1,5 @@
 import base64
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dptext.errors import (
     VocabParseError,
 )
 from dptext.vocab import (
+    _BLOCK_BYTES,
     EmbeddingTable,
     TokenIdSeq,
     detokenize,
@@ -147,6 +149,58 @@ class TestLoadEmbeddings:
         assert table.rows.dtype == np.float32
         assert table.rows[1].tolist() == [2.0, -3.5]
 
+    def test_too_many_rows_is_format_error(self, tmp_path):
+        vocab = make_vocab([b"a", b"b"])
+        path = tmp_path / "e.txt"
+        path.write_text("DPTEXT-EMB v1 2 1\n0\t0\n1\t1\n2\t2\n")
+        with pytest.raises(EmbeddingFormatError, match="declares 2 rows but file has 3"):
+            load_embeddings(path, vocab)
+
+    def test_too_few_rows_is_format_error(self, tmp_path):
+        vocab = make_vocab([b"a", b"b", b"c"])
+        path = tmp_path / "e.txt"
+        path.write_text("DPTEXT-EMB v1 3 1\n0\t0\n1\t1\n\n")
+        with pytest.raises(EmbeddingFormatError, match="declares 3 rows but file has 2"):
+            load_embeddings(path, vocab)
+
+    def test_row_count_reported_before_bad_line(self, tmp_path):
+        vocab = make_vocab([b"a", b"b"])
+        path = tmp_path / "e.txt"
+        path.write_text("DPTEXT-EMB v1 2 1\n0\tnan\n1\tx\n1\t1\n")
+        with pytest.raises(EmbeddingFormatError, match="file has 3"):
+            load_embeddings(path, vocab)
+
+    def test_trailing_blank_lines_tolerated(self, tmp_path):
+        vocab = make_vocab([b"a", b"b"])
+        path = tmp_path / "e.txt"
+        path.write_text("DPTEXT-EMB v1 2 1\n0\t0.5\n1\t1\n\n  \n\n")
+        assert load_embeddings(path, vocab).rows[:, 0].tolist() == [0.5, 1.0]
+
+    def test_blank_line_before_content_counts_as_a_row(self, tmp_path):
+        vocab = make_vocab([b"a", b"b"])
+        path = tmp_path / "e.txt"
+        path.write_text("DPTEXT-EMB v1 2 1\n0\t0\n\n1\t1\n")
+        with pytest.raises(EmbeddingFormatError, match="file has 3"):
+            load_embeddings(path, vocab)
+        path.write_text("DPTEXT-EMB v1 3 1\n0\t0\n\n2\t2\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected"):
+            load_embeddings(path, make_vocab([b"a", b"b", b"c"]))
+
+    def test_load_is_streamed(self, tmp_path):
+        # the text is ~5x the float32 table; the loader holds the table and one line
+        rows = np.random.default_rng(0).normal(size=(2000, 64))
+        vocab = make_vocab([f"t{i}".encode() for i in range(len(rows))])
+        path = write_emb_file(tmp_path / "e.txt", rows)
+        table_bytes = rows.size * 4
+        assert path.stat().st_size > 4 * table_bytes
+        tracemalloc.start()
+        try:
+            load_embeddings(path, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table_bytes
+
     def test_load_deterministic(self, tmp_path):
         vocab = make_vocab([b"a", b"b"])
         path = write_emb_file(tmp_path / "e.txt", [(0.1, 0.2), (0.3, 0.4)])
@@ -267,6 +321,11 @@ class TestEmbeddingTable:
             table.distances_from(np.zeros(3))
         assert table.distances_from(np.zeros(2)).tolist() == [0.0, 5.0]
 
+    def test_distances_from_rejects_non_finite_vector(self):
+        table = EmbeddingTable.from_rows([[0.0, 0.0], [3.0, 4.0]])
+        with pytest.raises(ContractError, match="non-finite"):
+            table.distances_from(np.array([0.0, np.nan]))
+
     def test_rows_not_writable(self):
         table = EmbeddingTable.from_rows([[0.0], [1.0]])
         with pytest.raises(ValueError):
@@ -290,3 +349,55 @@ class TestMerges:
         path.write_text("DPTEXT-MERGES v1 2\n0\tYQ==\tYg==\n")
         with pytest.raises(VocabParseError, match="declares 2"):
             load_merges(path)
+
+
+def _one_shot_distances(table, vec):
+    """The whole-table expression the blocked kernel must reproduce bit for bit."""
+    diff = table.rows - np.asarray(vec, dtype=np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+class TestDistancesFromBlocks:
+    BLOCK_ROWS_AT_64 = _BLOCK_BYTES // (8 * 64)
+
+    @pytest.mark.parametrize(
+        "size, dim",
+        [
+            (100, 64),  # below one block
+            (BLOCK_ROWS_AT_64, 64),  # exactly one block
+            (3 * BLOCK_ROWS_AT_64 + 7, 64),  # not a multiple of the block
+            (2 * BLOCK_ROWS_AT_64 + 1, 64),  # one row past a multiple
+            (5, _BLOCK_BYTES // 8 + 1000),  # one row exceeds the budget
+            (4, 9000),  # three-row blocks, a last block of one row
+            (1, 9000),
+            (7, 1),
+        ],
+    )
+    def test_bit_identical_to_one_shot(self, size, dim):
+        rng = np.random.default_rng(size * 31 + dim)
+        rows = rng.normal(size=(size, dim)).astype(np.float32)
+        table = EmbeddingTable.from_rows(rows)
+        queries = [table.vector(0), table.vector(size - 1), rng.normal(size=dim)]
+        for vec in queries:
+            assert np.array_equal(table.distances_from(vec), _one_shot_distances(table, vec))
+
+    def test_duplicate_rows_are_exactly_zero_apart(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(1500, 64)).astype(np.float32)
+        rows[1200] = rows[3]
+        table = EmbeddingTable.from_rows(rows)
+        d = table.distances_from(table.vector(3))
+        assert d[3] == 0.0 and d[1200] == 0.0
+        assert np.array_equal(d, _one_shot_distances(table, table.vector(3)))
+
+    def test_memory_is_the_row_plus_one_block(self):
+        rows = np.random.default_rng(1).normal(size=(40_000, 64)).astype(np.float32)
+        table = EmbeddingTable.from_rows(rows)
+        vec = table.vector(17)
+        tracemalloc.start()
+        try:
+            table.distances_from(vec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(table) + 2 * _BLOCK_BYTES + 64 * 1024
