@@ -10,7 +10,7 @@ score is 1 - ASR (attack success rate).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from .errors import AttackParseError, ContractError, DpTextError
@@ -58,13 +58,7 @@ class TokenOutcome:
     candidates: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "recovered": self.recovered,
-            "original_id": self.original_id,
-            "original_text": self.original_text,
-            "candidates": list(self.candidates),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -107,15 +101,7 @@ class AttackReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "per_token": [o.to_dict() for o in self.per_token],
-            "asr": self.asr,
-            "privacy": self.privacy,
-            "failed": self.failed,
-            "error": self.error,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     def summary_line(self, k=None, eps=None) -> str:
         k = k if k is not None else self.meta.get("k", "-")

@@ -20,10 +20,19 @@ import sys
 from . import attacks as attacks_mod
 from . import metrics as metrics_mod
 from . import verify as verify_mod
-from .config import AppConfig, apply_mechanism_overrides, load_app_config
+from .config import (
+    PATH_KEYS,
+    AppConfig,
+    apply_mechanism_overrides,
+    load_app_config,
+    sensitivity,
+)
 from .dpcore import Rng
 from .errors import ConfigError, ContractError, DpTextError
+from .fileio import atomic_write
 from .mechanisms import (
+    KINDS,
+    SCORING_MODES,
     perturb_document,
     read_perturbed_jsonl,
     write_perturbed_jsonl,
@@ -90,7 +99,8 @@ def cmd_perturb(cfg: AppConfig, args) -> int:
     seed = cfg.resolved_seed()
     rng = Rng(seed)
     doc = tokenize(text, vocab)
-    docs = perturb_document(doc, table, cfg.mechanism, args.n, rng)
+    n = args.n if args.n is not None else cfg.n_docs
+    docs = perturb_document(doc, table, cfg.mechanism, n, rng)
     texts = [detokenize_text(d.perturbed_ids, vocab) for d in docs]
     write_perturbed_jsonl(
         args.out, docs, seed=seed, cfg=cfg.mechanism, redact=args.redact, texts=texts
@@ -203,15 +213,15 @@ def cmd_attack(cfg: AppConfig, args) -> int:
                 reports.append(attacks_mod.mask_attack(perturbed, originals, client, k))
 
     eps = records[0].get("config", {}).get("epsilon_em", "-")
-    total = sum(len(r.per_token) for r in reports)
-    recovered = sum(sum(1 for o in r.per_token if o.recovered) for r in reports)
-    asr = recovered / total if total else 0.0
+    overall = attacks_mod.AttackReport.from_outcomes(
+        args.attack_kind, [o for r in reports for o in r.per_token]
+    )
     for i, report in enumerate(reports):
         _say(args, f"doc {records[i]['doc_index']}: {report.summary_line(k=k, eps=eps)}")
         if report.failed:
             print(f"doc {records[i]['doc_index']} attack failed: {report.error}",
                   file=sys.stderr)
-    print(f"asr={asr:.4f} privacy={1 - asr:.4f} k={k} eps={eps}")
+    print(overall.summary_line(k=k, eps=eps))
     if args.out:
         payload = {
             "kind": args.attack_kind,
@@ -219,10 +229,10 @@ def cmd_attack(cfg: AppConfig, args) -> int:
             "eps": eps,
             "seed": records[0].get("seed"),
             "config": records[0].get("config"),
-            "aggregate": {"asr": asr, "privacy": 1 - asr},
+            "aggregate": {"asr": overall.asr, "privacy": overall.privacy},
             "per_document": [r.to_dict() for r in reports],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _say(args, f"wrote attack report to {args.out}")
@@ -266,7 +276,7 @@ def cmd_metrics(cfg: AppConfig, args) -> int:
     for run_id, dp, ds, ed, mv in rows:
         print(f"{run_id:<40} {fmt(dp):>10} {fmt(ds):>10} {fmt(ed):>10} {fmt(mv):>8}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             json.dump(reports, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _say(args, f"wrote metric reports to {args.out}")
@@ -274,6 +284,8 @@ def cmd_metrics(cfg: AppConfig, args) -> int:
 
 
 def cmd_verify(cfg: AppConfig, args) -> int:
+    if args.epsilon is not None and args.epsilon < 0:
+        raise ConfigError(f"--epsilon must be >= 0, got {args.epsilon}")
     seed = cfg.resolved_seed()
     epsilons = [args.epsilon] if args.epsilon is not None else None
     results = verify_mod.run_default_suite(
@@ -304,13 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mech_flags(p):
-        p.add_argument("--kind", choices=["rantext", "topk", "global"])
-        p.add_argument("--epsilon", type=float, help="exponential-mechanism epsilon")
+        # dests are MechanismConfig field names; see apply_mechanism_overrides
+        p.add_argument("--kind", choices=KINDS)
+        p.add_argument("--epsilon", type=float, dest="epsilon_em", metavar="EPSILON",
+                       help="exponential-mechanism epsilon")
         p.add_argument("--epsilon-lap", type=float, dest="epsilon_lap",
                        help="adjacency-noise epsilon (defaults to --epsilon)")
-        p.add_argument("--sensitivity", help="'auto' or a positive number")
-        p.add_argument("--scoring-mode", choices=["def4-consistent", "paper-final"],
-                       dest="scoring_mode")
+        p.add_argument("--sensitivity", type=sensitivity, dest="laplace_sensitivity",
+                       metavar="SENSITIVITY", help="'auto' or a positive number")
+        p.add_argument("--scoring-mode", choices=SCORING_MODES, dest="scoring_mode")
         p.add_argument("--top-k", type=int, dest="top_k")
 
     def add_path_flags(p):
@@ -321,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="write N perturbed copies of a document")
     p.add_argument("--input", required=True, help="document text file")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("-n", type=int, default=3, help="number of perturbed documents")
+    p.add_argument("-n", type=int, default=None,
+                   help="number of perturbed documents (default: [run] n_docs)")
     p.add_argument("--redact", action="store_true",
                    help="omit original ids from the output")
     add_path_flags(p)
@@ -370,14 +385,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.ERROR if args.quiet else logging.WARNING)
     try:
         cfg = load_app_config(args.config)
-        if getattr(args, "vocab", None):
-            cfg.vocab_path = args.vocab
-        if getattr(args, "embeddings", None):
-            cfg.embeddings_path = args.embeddings
-        if getattr(args, "merges", None):
-            cfg.merges_path = args.merges
-        if getattr(args, "runs_dir", None):
-            cfg.runs_dir = args.runs_dir
+        for key, attr in PATH_KEYS.items():
+            if getattr(args, key, None):
+                setattr(cfg, attr, getattr(args, key))
         if args.seed is not None:
             cfg.seed = args.seed
         apply_mechanism_overrides(cfg, args)

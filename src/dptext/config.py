@@ -1,33 +1,20 @@
 """Application configuration: an INI-style file plus command-line overrides.
 
-Sections and keys (all optional; flags override file values):
+Every section and key is optional, flags override file values, and an
+unknown section or key is an error. ``[mechanism]`` takes the fields of
+``MechanismConfig``, ``[remote]`` and ``[restore]`` those of
+``LlmEndpointConfig`` (a section without ``base_url`` configures no
+endpoint), and ``[paths]``, ``[attack]`` and ``[run]`` the keys in
+``_APP_KEYS``. For example:
 
     [paths]
     vocab = vocab.txt
     embeddings = embeddings.txt
-    merges = merges.txt
-    runs_dir = runs
 
     [mechanism]
     kind = rantext
-    epsilon_em = 1.0
-    epsilon_lap = 1.0
+    epsilon_em = 2.0
     laplace_sensitivity = auto
-    scoring_mode = def4-consistent
-    top_k = 20
-
-    [remote] / [restore]
-    base_url = https://host/v1/chat/completions
-    model_name = some-model
-    temperature = 0.5
-    max_output_tokens = 100
-    api_key_env_var = DPTEXT_API_KEY
-    timeout_s = 30
-    max_concurrent = 4
-
-    [attack]
-    k = 250
-    chunk_size = 64
 
     [run]
     seed = 7
@@ -39,7 +26,7 @@ from __future__ import annotations
 import configparser
 import os
 import secrets
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ContractError
 from .mechanisms import MechanismConfig
@@ -78,38 +65,67 @@ class AppConfig:
                 raise ConfigError(f"{name} file not found: {path}")
 
 
-def _get_typed(section, key, cast, errors: str):
-    raw = section.get(key)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"invalid value for {errors}.{key}: {raw!r}") from None
+def sensitivity(raw: str) -> float | str:
+    """A Laplace sensitivity as written: ``auto`` or a number."""
+    return raw if raw == "auto" else float(raw)
 
 
-def _endpoint_from_section(section, default_temperature: float, name: str) -> LlmEndpointConfig | None:
-    if section is None or "base_url" not in section:
-        return None
-    kwargs = {
-        "base_url": section["base_url"],
-        "model_name": section.get("model_name", "default-model"),
-        "temperature": _get_typed(section, "temperature", float, name),
-        "max_output_tokens": _get_typed(section, "max_output_tokens", int, name),
-        "api_key_env_var": section.get("api_key_env_var"),
-        "timeout_s": _get_typed(section, "timeout_s", float, name),
-        "max_concurrent": _get_typed(section, "max_concurrent", int, name),
-    }
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    kwargs.setdefault("temperature", default_temperature)
+# casts of the keys that are not text, in any section
+_CASTS = {
+    "epsilon_em": float, "epsilon_lap": float, "laplace_sensitivity": sensitivity,
+    "top_k": int, "temperature": float, "max_output_tokens": int, "timeout_s": float,
+    "max_concurrent": int, "k": int, "chunk_size": int, "seed": int, "n_docs": int,
+}
+
+# key -> AppConfig field for the sections that set AppConfig directly
+PATH_KEYS = {"vocab": "vocab_path", "embeddings": "embeddings_path",
+             "merges": "merges_path", "runs_dir": "runs_dir"}
+_APP_KEYS = {
+    "paths": PATH_KEYS,
+    "attack": {"k": "attack_k", "chunk_size": "attack_chunk_size"},
+    "run": {"seed": "seed", "n_docs": "n_docs"},
+}
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _section(parser, name: str, keys) -> dict:
+    """The section's values by key, cast; a key outside ``keys`` is an error."""
+    if not parser.has_section(name):
+        return {}
+    values = {}
+    for key, raw in parser[name].items():
+        if key not in keys:
+            raise ConfigError(f"unknown config key [{name}] {key}")
+        try:
+            values[key] = _CASTS.get(key, str)(raw)
+        except ValueError:
+            raise ConfigError(f"invalid value for {name}.{key}: {raw!r}") from None
+    return values
+
+
+def _build(cls, name: str, values: dict):
     try:
-        return LlmEndpointConfig(**kwargs)
+        return cls(**values)
     except ContractError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
 
 
+def _endpoint(parser, name: str, **defaults) -> LlmEndpointConfig | None:
+    values = _section(parser, name, _field_names(LlmEndpointConfig))
+    if "base_url" not in values:
+        return None
+    values = {"model_name": "default-model", **defaults, **values}
+    return _build(LlmEndpointConfig, name, values)
+
+
 def load_app_config(path: str | None = None) -> AppConfig:
-    """Load configuration from an INI file; missing file or None gives defaults."""
+    """Load configuration from an INI file; None gives the defaults.
+
+    Unknown sections and keys are errors, so a misspelled setting cannot
+    silently fall back to its default."""
     cfg = AppConfig()
     if path is None:
         return cfg
@@ -121,77 +137,27 @@ def load_app_config(path: str | None = None) -> AppConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
 
-    if parser.has_section("paths"):
-        paths = parser["paths"]
-        cfg.vocab_path = paths.get("vocab", cfg.vocab_path)
-        cfg.embeddings_path = paths.get("embeddings", cfg.embeddings_path)
-        cfg.merges_path = paths.get("merges", cfg.merges_path)
-        cfg.runs_dir = paths.get("runs_dir", cfg.runs_dir)
-
-    if parser.has_section("mechanism"):
-        section = parser["mechanism"]
-        sens = section.get("laplace_sensitivity", "auto")
-        if sens != "auto":
-            sens = _get_typed(section, "laplace_sensitivity", float, "mechanism")
-        epsilon_em = _get_typed(section, "epsilon_em", float, "mechanism")
-        top_k = _get_typed(section, "top_k", int, "mechanism")
-        try:
-            cfg.mechanism = MechanismConfig(
-                kind=section.get("kind", "rantext"),
-                epsilon_em=epsilon_em if epsilon_em is not None else 1.0,
-                epsilon_lap=_get_typed(section, "epsilon_lap", float, "mechanism"),
-                laplace_sensitivity=sens,
-                scoring_mode=section.get("scoring_mode", "def4-consistent"),
-                top_k=top_k if top_k is not None else 20,
-            )
-        except ContractError as exc:
-            raise ConfigError(f"[mechanism] {exc}") from None
-
-    cfg.remote = _endpoint_from_section(
-        parser["remote"] if parser.has_section("remote") else None, 0.5, "remote"
-    )
-    cfg.restore = _endpoint_from_section(
-        parser["restore"] if parser.has_section("restore") else None, 0.0, "restore"
-    )
-
-    if parser.has_section("attack"):
-        section = parser["attack"]
-        k = _get_typed(section, "k", int, "attack")
-        chunk = _get_typed(section, "chunk_size", int, "attack")
-        cfg.attack_k = k if k is not None else cfg.attack_k
-        cfg.attack_chunk_size = chunk if chunk is not None else cfg.attack_chunk_size
-
-    if parser.has_section("run"):
-        section = parser["run"]
-        cfg.seed = _get_typed(section, "seed", int, "run")
-        n_docs = _get_typed(section, "n_docs", int, "run")
-        cfg.n_docs = n_docs if n_docs is not None else cfg.n_docs
+    for name in parser.sections():
+        if name not in {*_APP_KEYS, "mechanism", "remote", "restore"}:
+            raise ConfigError(f"unknown config section [{name}]")
+    for name, keys in _APP_KEYS.items():
+        for key, value in _section(parser, name, keys).items():
+            setattr(cfg, keys[key], value)
+    values = _section(parser, "mechanism", _field_names(MechanismConfig))
+    cfg.mechanism = _build(MechanismConfig, "mechanism", values)
+    cfg.remote = _endpoint(parser, "remote")
+    cfg.restore = _endpoint(parser, "restore", temperature=0.0)
     return cfg
 
 
 def apply_mechanism_overrides(cfg: AppConfig, args) -> None:
-    """Fold mechanism-related CLI flags into the config."""
-    updates = {}
-    if getattr(args, "kind", None) is not None:
-        updates["kind"] = args.kind
-    if getattr(args, "epsilon", None) is not None:
-        updates["epsilon_em"] = args.epsilon
-    if getattr(args, "epsilon_lap", None) is not None:
-        updates["epsilon_lap"] = args.epsilon_lap
-    if getattr(args, "sensitivity", None) is not None:
-        sens = args.sensitivity
-        if sens != "auto":
-            try:
-                sens = float(sens)
-            except ValueError:
-                raise ConfigError(f"invalid --sensitivity value: {sens!r}") from None
-        updates["laplace_sensitivity"] = sens
-    if getattr(args, "scoring_mode", None) is not None:
-        updates["scoring_mode"] = args.scoring_mode
-    if getattr(args, "top_k", None) is not None:
-        updates["top_k"] = args.top_k
-    if updates:
-        try:
-            cfg.mechanism = replace(cfg.mechanism, **updates)
-        except ContractError as exc:
-            raise ConfigError(str(exc)) from None
+    """Fold the mechanism flags, whose dests are the field names, into the config."""
+    updates = {
+        f.name: value
+        for f in fields(MechanismConfig)
+        if (value := getattr(args, f.name, None)) is not None
+    }
+    try:
+        cfg.mechanism = replace(cfg.mechanism, **updates)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None

@@ -17,7 +17,7 @@ the exponential mechanism with sensitivity 1, and one candidate is sampled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -99,14 +99,7 @@ class MechanismConfig:
         return float(self.laplace_sensitivity)
 
     def to_snapshot(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epsilon_em": self.epsilon_em,
-            "epsilon_lap": self.epsilon_lap,
-            "laplace_sensitivity": self.laplace_sensitivity,
-            "scoring_mode": self.scoring_mode,
-            "top_k": self.top_k,
-        }
+        return asdict(self)
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "MechanismConfig":

@@ -4,7 +4,7 @@ coherence, and Levenshtein edit distance."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -102,13 +102,4 @@ class MetricReport:
             raise ContractError(f"edit distance must be >= 0: {self.edit_distance}")
 
     def to_dict(self) -> dict:
-        return {
-            "diversity": self.diversity,
-            "diversity_formula": self.diversity_formula,
-            "coherence": self.coherence,
-            "edit_distance": self.edit_distance,
-            "token_count": self.token_count,
-            "char_count": self.char_count,
-            "mauve": self.mauve,
-            "extra": self.extra,
-        }
+        return asdict(self)

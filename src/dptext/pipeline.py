@@ -16,7 +16,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Protocol, Sequence
 
@@ -231,19 +231,7 @@ class RunRecord:
     timestamps: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "raw_document": self.raw_document,
-            "instruction": self.instruction,
-            "restoration_instruction": self.restoration_instruction,
-            "config": self.config,
-            "perturbed_documents": self.perturbed_documents,
-            "generations": self.generations,
-            "restored_text": self.restored_text,
-            "status": self.status,
-            "error": self.error,
-            "timestamps": self.timestamps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":

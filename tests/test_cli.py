@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import dptext
+import dptext.cli as cli
 import dptext.pipeline as pipeline
 from dptext.attacks import gpt_inference_attack
 from dptext.cli import _WrongAnswerGptClient, main
@@ -98,6 +104,54 @@ class TestPerturbCommand:
             dists = [levenshtein(raw, r["perturbed_text"]) for r in records]
             means.append(sum(dists) / len(dists))
         assert means[0] >= means[1] >= means[2]
+
+    def test_n_defaults_to_config_n_docs(self, corpus, tmp_path):
+        vocab, emb, doc = corpus
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[run]\nn_docs = 5\n")
+        out = tmp_path / "out.jsonl"
+        base = ["--config", cfg, "--seed", 1, "--quiet", "perturb", "--input", doc,
+                "--out", out, "--vocab", vocab, "--embeddings", emb]
+        assert run_cli(base) == 0
+        assert len(read_perturbed_jsonl(out)) == 5
+        assert run_cli(base + ["-n", 2]) == 0
+        assert len(read_perturbed_jsonl(out)) == 2
+
+    def test_mechanism_flags_override_config_file(self, corpus, tmp_path):
+        vocab, emb, doc = corpus
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[mechanism]\nkind = topk\nepsilon_em = 2.0\n"
+                       "laplace_sensitivity = 3.0\ntop_k = 4\n")
+        out = tmp_path / "out.jsonl"
+        base = ["--config", cfg, "--seed", 1, "--quiet", "perturb", "--input", doc,
+                "--out", out, "--vocab", vocab, "--embeddings", emb]
+        assert run_cli(base) == 0
+        assert read_perturbed_jsonl(out)[0]["config"] == {
+            "kind": "topk", "epsilon_em": 2.0, "epsilon_lap": None,
+            "laplace_sensitivity": 3.0, "scoring_mode": "def4-consistent", "top_k": 4,
+        }
+        assert run_cli(base + [
+            "--kind", "rantext", "--epsilon", 5, "--epsilon-lap", 1.5,
+            "--sensitivity", "auto", "--scoring-mode", "paper-final", "--top-k", 9,
+        ]) == 0
+        assert read_perturbed_jsonl(out)[0]["config"] == {
+            "kind": "rantext", "epsilon_em": 5.0, "epsilon_lap": 1.5,
+            "laplace_sensitivity": "auto", "scoring_mode": "paper-final", "top_k": 9,
+        }
+        assert run_cli(base + ["--sensitivity", "0.5"]) == 0
+        assert read_perturbed_jsonl(out)[0]["config"]["laplace_sensitivity"] == 0.5
+
+    def test_invalid_mechanism_flags_exit_2(self, corpus, tmp_path, capsys):
+        vocab, emb, doc = corpus
+        base = ["perturb", "--input", doc, "--out", tmp_path / "o.jsonl",
+                "--vocab", vocab, "--embeddings", emb]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + ["--sensitivity", "lots"])
+        assert exc.value.code == 2
+        assert "--sensitivity" in capsys.readouterr().err
+        assert run_cli(base + ["--sensitivity", "-1"]) == 2
+        assert "laplace_sensitivity must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_missing_vocab_is_config_error(self, corpus, tmp_path, capsys):
         _, emb, doc = corpus
@@ -261,6 +315,38 @@ class TestAttackCommand:
         assert 0.0 <= report["aggregate"]["privacy"] <= 1.0
         assert len(report["per_document"]) == 2
 
+    def test_aggregate_pools_every_documents_tokens(self, corpus, tmp_path, capsys):
+        vocab, emb, _ = corpus
+        out = self._perturbed_file(corpus, tmp_path, eps=0.5)
+        report_path = tmp_path / "report.json"
+        assert run_cli([
+            "--quiet", "attack", "--perturbed", out, "--kind", "inversion",
+            "--k", 2, "--out", report_path, "--vocab", vocab, "--embeddings", emb,
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        tokens = [t for d in report["per_document"] for t in d["per_token"]]
+        asr = sum(t["recovered"] for t in tokens) / len(tokens)
+        assert report["aggregate"] == {"asr": asr, "privacy": 1 - asr}
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert summary == f"asr={asr:.4f} privacy={1 - asr:.4f} k=2 eps=0.5"
+
+    def test_failed_report_write_keeps_previous_file(self, corpus, tmp_path,
+                                                     monkeypatch):
+        vocab, emb, _ = corpus
+        out = self._perturbed_file(corpus, tmp_path)
+        report_path = tmp_path / "report.json"
+        args = ["--quiet", "attack", "--perturbed", out, "--kind", "inversion",
+                "--k", 2, "--out", report_path, "--vocab", vocab, "--embeddings", emb]
+        assert run_cli(args) == 0
+        before = report_path.read_bytes()
+        _fail_json_dump(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(args)
+        assert report_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "doc.txt", "emb.txt", "p.jsonl", "report.json", "vocab.txt",
+        ]
+
 
 class TestInversionPrivacyMonotoneInK:
     def test_privacy_non_increasing_in_k(self, tmp_path):
@@ -341,6 +427,25 @@ class TestMetricsCommand:
         assert reports[0]["mauve"] is None  # populated only from an external value
         assert reports[0]["extra"]["seed"] == 34
 
+    def test_failed_report_write_keeps_previous_file(self, corpus, tmp_path,
+                                                     monkeypatch):
+        vocab, emb, doc = corpus
+        runs = tmp_path / "runs"
+        run_cli([
+            "--seed", 35, "--mock", "--quiet", "run", "--input", doc,
+            "--vocab", vocab, "--embeddings", emb, "--runs-dir", runs,
+        ])
+        path = next(runs.glob("*.json"))
+        out = tmp_path / "metrics.json"
+        out.write_text("previous\n")
+        _fail_json_dump(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(["--quiet", "metrics", str(path), "--out", out])
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "doc.txt", "emb.txt", "metrics.json", "runs", "vocab.txt",
+        ]
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
@@ -365,6 +470,10 @@ class TestVerifyCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_negative_epsilon_is_config_error(self, capsys):
+        assert run_cli(["verify", "--epsilon", -1]) == 2
+        assert "--epsilon must be >= 0" in capsys.readouterr().err
+
     def test_small_epsilon_bound(self, capsys):
         code = run_cli([
             "--seed", 3, "--quiet", "verify", "--epsilon", 0.01,
@@ -375,3 +484,26 @@ class TestVerifyCommand:
         em_line = next(l for l in out.splitlines() if "em-dp" in l)
         worst = float(em_line.split("worst=")[1].split()[0])
         assert worst <= 0.01
+
+
+def _fail_json_dump(monkeypatch):
+    """Make the CLI's next JSON write fail after writing part of the file."""
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"kind": "inver')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dump=dump_then_fail))
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_a_subcommand(self):
+        src = os.path.dirname(os.path.dirname(dptext.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dptext", "--seed", "1", "--quiet", "verify",
+             "--epsilon", "1", "--membership-trials", "10000",
+             "--support-trials", "20000"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "em-dp-random-tables-eps-1 pass=true" in proc.stdout

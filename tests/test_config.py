@@ -1,7 +1,13 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from dptext.config import AppConfig, load_app_config
 from dptext.errors import ConfigError
+from dptext.mechanisms import MechanismConfig
+from dptext.pipeline import LlmEndpointConfig
 
 
 FULL_CONFIG = """
@@ -105,6 +111,79 @@ class TestLoadAppConfig:
         path = tmp_path / "cfg.ini"
         path.write_text("[run]\nseed = 5  # fixed for the demo\n")
         assert load_app_config(path).seed == 5
+
+    @pytest.mark.parametrize("text, where", [
+        # the CLI flag's spelling, not the key's: must not leave epsilon_em = 1.0
+        ("[mechanism]\nepsilon = 8\n", "[mechanism] epsilon"),
+        ("[remote]\nbase_url = https://x/api\nbase-url = y\n", "[remote] base-url"),
+        ("[restore]\ntemprature = 0.3\n", "[restore] temprature"),
+        ("[paths]\nvocab_path = v.txt\n", "[paths] vocab_path"),
+        ("[attack]\nattack_k = 5\n", "[attack] attack_k"),
+        ("[run]\nn = 5\n", "[run] n"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, text, where):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key {where}")):
+            load_app_config(path)
+
+    def test_unknown_section_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[mechanisms]\nkind = topk\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[mechanisms\]"):
+            load_app_config(path)
+
+    @pytest.mark.parametrize("mech", [
+        MechanismConfig(),
+        MechanismConfig(kind="global", epsilon_em=0.0, epsilon_lap=0.25,
+                        laplace_sensitivity=1.5, scoring_mode="paper-final", top_k=3),
+    ])
+    def test_every_mechanism_field_is_a_key(self, tmp_path, mech):
+        lines = [f"{k} = {v}" for k, v in mech.to_snapshot().items() if v is not None]
+        path = tmp_path / "cfg.ini"
+        path.write_text("[mechanism]\n" + "\n".join(lines) + "\n")
+        assert load_app_config(path).mechanism == mech
+
+    def test_every_endpoint_field_is_a_key(self, tmp_path):
+        endpoint = LlmEndpointConfig(
+            base_url="https://x/api", model_name="m", temperature=0.25,
+            max_output_tokens=7, api_key_env_var="K", timeout_s=1.5, max_concurrent=3,
+        )
+        lines = [f"{k} = {v}" for k, v in dataclasses.asdict(endpoint).items()]
+        path = tmp_path / "cfg.ini"
+        path.write_text("[remote]\n" + "\n".join(lines) + "\n")
+        assert load_app_config(path).remote == endpoint
+
+    def test_unset_endpoint_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[remote]\nbase_url = https://x/api\n"
+                        "[restore]\nbase_url = http://localhost/v1\n")
+        cfg = load_app_config(path)
+        assert cfg.remote == LlmEndpointConfig("https://x/api", "default-model")
+        assert cfg.restore == LlmEndpointConfig(
+            "http://localhost/v1", "default-model", temperature=0.0
+        )
+
+    def test_endpoint_section_without_base_url_configures_nothing(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[remote]\nmodel_name = m\n")
+        assert load_app_config(path).remote is None
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "cfg.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        cfg = load_app_config(path)
+        assert cfg.merges_path == "merges.txt"
+        assert cfg.mechanism.epsilon_lap == 2.0
+        assert cfg.restore.model_name == "local-model"
+        assert cfg.restore.temperature == 0.0
+
+    def test_invalid_endpoint_value_names_the_section(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[restore]\nbase_url = http://x\nmax_concurrent = 0\n")
+        with pytest.raises(ConfigError, match=r"^\[restore\] max_concurrent"):
+            load_app_config(path)
 
 
 class TestAppConfig:
