@@ -3,8 +3,8 @@
 Every section and key is optional, flags override file values, and an
 unknown section or key is an error. ``[mechanism]`` takes the fields of
 ``MechanismConfig``, ``[remote]`` and ``[restore]`` those of
-``LlmEndpointConfig`` (a section without ``base_url`` configures no
-endpoint), and ``[paths]``, ``[attack]`` and ``[run]`` the keys in
+``LlmEndpointConfig`` (``base_url`` is required once the section is
+present), and ``[paths]``, ``[attack]`` and ``[run]`` the keys in
 ``_APP_KEYS``. For example:
 
     [paths]
@@ -114,9 +114,11 @@ def _build(cls, name: str, values: dict):
 
 
 def _endpoint(parser, name: str, **defaults) -> LlmEndpointConfig | None:
+    if not parser.has_section(name):
+        return None
     values = _section(parser, name, _field_names(LlmEndpointConfig))
     if "base_url" not in values:
-        return None
+        raise ConfigError(f"[{name}] base_url is required")
     values = {"model_name": "default-model", **defaults, **values}
     return _build(LlmEndpointConfig, name, values)
 

@@ -57,21 +57,45 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum insert/delete/substitute edits between two sequences.
 
     Strings compare character by character; pass token lists for
-    token-level distance. Two-row dynamic programming, O(|a|*|b|) time and
-    O(min(|a|, |b|)) space.
+    token-level distance. Elements must be hashable: they key a dict and
+    match by hash and equality.
+
+    Myers' bit-vector algorithm in Hyyrö's Levenshtein form (J. ACM 46(3)
+    1999; Nordic J. Computing 10(1) 2003): the shorter side is the pattern,
+    one DP column is a pair of Python-int bit vectors of vertical +1/-1
+    deltas, and each element of the longer side advances it in a few word
+    operations, O(ceil(min/w) * max) time.
     """
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 0:
+    m = len(a)
+    if m == 0:
         return len(b)
-    previous = list(range(len(a) + 1))
-    for i in range(1, len(b) + 1):
-        current = [i] + [0] * len(a)
-        for j in range(1, len(a) + 1):
-            cost = 0 if a[j - 1] == b[i - 1] else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-        previous = current
-    return previous[len(a)]
+    mask = (1 << m) - 1
+    hb = 1 << (m - 1)
+    try:
+        peq: dict = {}
+        for i, x in enumerate(a):
+            peq[x] = peq.get(x, 0) | (1 << i)
+        pv, mv, score = mask, 0, m
+        for x in b:
+            eq = peq.get(x, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (~(xh | pv) & mask)
+            mh = pv & xh
+            if ph & hb:
+                score += 1
+            elif mh & hb:
+                score -= 1
+            # the | 1 is the DP's first row, D[0][j] = j
+            ph = ((ph << 1) | 1) & mask
+            mh = (mh << 1) & mask
+            pv = mh | (~(xv | ph) & mask)
+            mv = ph & xv
+    except TypeError as exc:
+        raise ContractError(f"levenshtein elements must be hashable: {exc}") from None
+    return score
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,28 +395,54 @@ def _tokenize_greedy(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
 
 
 def _tokenize_bpe(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
+    """Merge the adjacent pair of lowest rank, leftmost first, until none has
+    a rank, as in HuggingFace ``tokenizers``' ``Word::merge_all``.
+
+    A piece is named by its start offset and is alive while ``end[start]`` is
+    its end offset (dead pieces hold -1); ``prev`` links each live piece to
+    the one before it. A heap holds candidate pairs ``(rank, left_start,
+    right_start, right_end)``; an entry whose left piece no longer ends at
+    ``right_start`` or whose right piece no longer ends at ``right_end`` is
+    stale and skipped. A merge pushes only the new piece's two neighbour
+    pairs, so there are at most 3·len(data) rank lookups and O(n log n) work.
+    """
     ranks = vocab.merge_ranks or {}
-    parts = [data[i : i + 1] for i in range(len(data))]
-    while len(parts) > 1:
-        best_rank = None
-        best_at = -1
-        for k in range(len(parts) - 1):
-            r = ranks.get((parts[k], parts[k + 1]))
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank, best_at = r, k
-        if best_rank is None:
-            break
-        parts[best_at : best_at + 2] = [parts[best_at] + parts[best_at + 1]]
+    n = len(data)
+    end = list(range(1, n + 1))
+    prev = list(range(-1, n - 1))
+    heap = []
+    for i in range(n - 1):
+        r = ranks.get((data[i : i + 1], data[i + 1 : i + 2]))
+        if r is not None:
+            heap.append((r, i, i + 1, i + 2))
+    heapq.heapify(heap)
+    while heap:
+        _, left, right, right_end = heapq.heappop(heap)
+        if end[left] != right or end[right] != right_end:
+            continue
+        end[left], end[right] = right_end, -1
+        before = prev[left]
+        if before >= 0:
+            r = ranks.get((data[before:left], data[left:right_end]))
+            if r is not None:
+                heapq.heappush(heap, (r, before, left, right_end))
+        if right_end < n:
+            prev[right_end] = left
+            after_end = end[right_end]
+            r = ranks.get((data[left:right_end], data[right_end:after_end]))
+            if r is not None:
+                heapq.heappush(heap, (r, left, right_end, after_end))
     ids: list[int] = []
     offset = 0
-    for part in parts:
+    while offset < n:
+        part = data[offset : end[offset]]
         tid = vocab.token_id(part)
         if tid is None:
             raise TokenizationError(
                 f"merged piece {part!r} is not in the vocabulary", offset=offset
             )
         ids.append(tid)
-        offset += len(part)
+        offset = end[offset]
     return TokenIdSeq(ids=tuple(ids))
 
 

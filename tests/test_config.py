@@ -164,10 +164,12 @@ class TestLoadAppConfig:
             "http://localhost/v1", "default-model", temperature=0.0
         )
 
-    def test_endpoint_section_without_base_url_configures_nothing(self, tmp_path):
+    @pytest.mark.parametrize("name", ["remote", "restore"])
+    def test_endpoint_section_without_base_url_is_config_error(self, tmp_path, name):
         path = tmp_path / "cfg.ini"
-        path.write_text("[remote]\nmodel_name = m\n")
-        assert load_app_config(path).remote is None
+        path.write_text(f"[{name}]\nmodel_name = m\n")
+        with pytest.raises(ConfigError, match=rf"^\[{name}\] base_url is required$"):
+            load_app_config(path)
 
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

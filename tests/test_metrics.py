@@ -160,6 +160,48 @@ class TestLevenshtein:
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda size: st.tuples(st.text("abc"[:size], max_size=40), st.text("abc"[:size], max_size=40))
+    ))
+    def test_matches_oracle_over_small_alphabets(self, pair):
+        a, b = pair
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(["a", "b", "1"]), st.integers(0, 2)), max_size=70),
+        st.lists(st.one_of(st.sampled_from(["a", "b", "1"]), st.integers(0, 2)), max_size=70),
+    )
+    def test_matches_oracle_on_mixed_token_lists(self, a, b):
+        # the string "1" and the int 1 are different tokens
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+        assert levenshtein(tuple(a), b) == levenshtein(a, b)
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129])
+    def test_lengths_around_word_boundaries(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        a = "".join(rng.choice(list("ab"), size=m))
+        b = "".join(rng.choice(list("ab"), size=n))
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+        # every element matches or none does: the carry through the top bit
+        assert levenshtein("a" * m, "a" * n) == abs(m - n)
+        assert levenshtein("a" * m, "b" * n) == max(m, n)
+
+    def test_kilobyte_pair_matches_oracle(self):
+        rng = np.random.default_rng(20)
+        letters = list("etaoin shrdlu")
+        a = "".join(rng.choice(letters, size=1024))
+        b = "".join(rng.choice(letters, size=1031))
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+
+    def test_unhashable_elements_are_contract_error(self):
+        with pytest.raises(ContractError, match="hashable"):
+            levenshtein([[1]], [[2]])
+        with pytest.raises(ContractError, match="hashable"):
+            levenshtein(["a"], [["a"], "b"])
+
 
 class TestMetricReport:
     def test_to_dict_round_trip_fields(self):

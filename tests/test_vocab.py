@@ -18,6 +18,7 @@ from dptext.vocab import (
     _BLOCK_BYTES,
     EmbeddingTable,
     TokenIdSeq,
+    Vocabulary,
     detokenize,
     detokenize_text,
     distance,
@@ -34,6 +35,43 @@ from .conftest import (
     write_merges_file,
     write_vocab_file,
 )
+
+
+def bpe_pieces_oracle(data: bytes, ranks) -> list[bytes]:
+    """Independent BPE: rescan every adjacent pair after each merge and merge
+    the lowest rank, the leftmost on a tie. O(n^2) lookups."""
+    parts = [data[i : i + 1] for i in range(len(data))]
+    while len(parts) > 1:
+        best_rank = None
+        best_at = -1
+        for k in range(len(parts) - 1):
+            r = ranks.get((parts[k], parts[k + 1]))
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank, best_at = r, k
+        if best_rank is None:
+            break
+        parts[best_at : best_at + 2] = [parts[best_at] + parts[best_at + 1]]
+    return parts
+
+
+class CountingRanks(dict):
+    """A merge table that counts its ``get`` calls."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def merge_closed_vocab(ranks):
+    """Every single byte plus every merge result, so no piece is missing."""
+    merged = dict.fromkeys(left + right for left, right in ranks)
+    singles = [bytes([b]) for b in range(256)]
+    return Vocabulary(entries=tuple(singles + list(merged)), merge_ranks=ranks)
+
+
+_abc_piece = st.text("abc", min_size=1, max_size=3).map(str.encode)
 
 
 class TestLoadVocabulary:
@@ -253,6 +291,59 @@ class TestTokenize:
         with pytest.raises(TokenizationError) as err:
             tokenize("abq", vocab)
         assert err.value.offset == 2
+
+    def test_bpe_missing_merged_piece_errors_at_its_offset(self):
+        # "bc" merges but is not a token: pieces x, a, bc, a
+        vocab = make_vocab([b"a", b"b", b"c", b"x"], merges=[(b"b", b"c")])
+        assert bpe_pieces_oracle(b"xabca", vocab.merge_ranks) == [b"x", b"a", b"bc", b"a"]
+        with pytest.raises(TokenizationError, match=r"merged piece b'bc' is not in") as err:
+            tokenize("xabca", vocab)
+        assert err.value.offset == 2
+
+    def test_bpe_equal_ranks_merge_leftmost_first(self):
+        # (a,a) and (aa,a) share rank 0: a a a a -> aa a a -> aaa a
+        ranks = {(b"a", b"a"): 0, (b"aa", b"a"): 0}
+        vocab = merge_closed_vocab(ranks)
+        pieces = [vocab.token_bytes(t) for t in tokenize("aaaa", vocab)]
+        assert pieces == bpe_pieces_oracle(b"aaaa", ranks) == [b"aaa", b"a"]
+
+    def test_bpe_new_lower_rank_pair_to_the_left_goes_first(self):
+        # b+c creates (a,bc) at rank 3, left of the pending (d,e) at rank 5;
+        # it goes first, and then (abc,d) at rank 4 beats (d,e) too
+        ranks = {(b"b", b"c"): 0, (b"d", b"e"): 5, (b"a", b"bc"): 3, (b"abc", b"d"): 4}
+        vocab = merge_closed_vocab(ranks)
+        pieces = [vocab.token_bytes(t) for t in tokenize("abcde", vocab)]
+        assert pieces == bpe_pieces_oracle(b"abcde", ranks) == [b"abcd", b"e"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(_abc_piece, _abc_piece), st.integers(0, 8), max_size=30),
+        st.one_of(
+            st.text("abc", max_size=40),
+            st.tuples(st.sampled_from("abc"), st.integers(0, 12)).map(lambda t: t[0] * t[1]),
+        ).map(str.encode),
+    )
+    def test_bpe_matches_rescanning_oracle(self, ranks, data):
+        vocab = merge_closed_vocab(ranks)
+        pieces = bpe_pieces_oracle(data, ranks)
+        ids = tokenize(data, vocab).ids
+        assert [vocab.token_bytes(t) for t in ids] == pieces
+        assert ids == tuple(vocab.token_id(p) for p in pieces)
+
+    def test_bpe_rank_lookups_are_linear(self):
+        # two levels of merges over a, b, c: more than n/2 merges, where the
+        # rescanning loop would make about n lookups per merge
+        singles = [b"a", b"b", b"c"]
+        level1 = [(x, y) for x in singles for y in singles]
+        level2 = [(a + b, c + d) for a, b in level1 for c, d in level1]
+        ranks = CountingRanks({pair: r for r, pair in enumerate(level1 + level2)})
+        vocab = merge_closed_vocab(ranks)
+        rng = np.random.default_rng(3)
+        data = bytes(rng.choice(list(b"abc"), size=1024).astype(np.uint8))
+        ids = tokenize(data, vocab).ids
+        assert ranks.lookups <= 3 * len(data)
+        assert len(ids) < len(data) / 2
+        assert [vocab.token_bytes(t) for t in ids] == bpe_pieces_oracle(data, dict(ranks))
 
     def test_round_trip_100_random_byte_strings(self):
         vocab = byte_complete_vocab(extra=[b"the", b"quick", b" fox"])
