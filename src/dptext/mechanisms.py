@@ -16,6 +16,7 @@ the exponential mechanism with sensitivity 1, and one candidate is sampled.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -160,13 +161,25 @@ def adjacency_within_radius(
     if perturbed_embedding is None:
         perturbed_embedding = table.vector(origin).astype(np.float64)
     d = _origin_row(origin, table, dists)
-    candidates = np.nonzero(d <= radius)[0]
+    return _radius_cut(origin, radius, perturbed_embedding, None, d)
+
+
+def _radius_cut(
+    origin: int,
+    radius: float,
+    perturbed_embedding: np.ndarray,
+    ids: np.ndarray | None,
+    d: np.ndarray,
+) -> AdjacencySample:
+    """The adjacency at ``radius`` from distances ``d`` at the ascending ``ids``
+    (every token when None), which must hold every token within the radius."""
+    hit = np.nonzero(d <= radius)[0]
     return AdjacencySample(
         origin=origin,
         radius=float(radius),
         perturbed_embedding=np.asarray(perturbed_embedding, dtype=np.float64),
-        candidates=candidates,
-        distances=d[candidates],
+        candidates=hit if ids is None else ids[hit],
+        distances=d[hit],
     )
 
 
@@ -183,13 +196,21 @@ def compute_random_adjacency(
     origin's embedding; the adjacency is every token whose embedding lies
     within the noise norm of the original embedding.
     """
+    noise, radius = _adjacency_noise(table, cfg, rng)
+    perturbed = table.vector(origin).astype(np.float64) + noise
+    return adjacency_within_radius(origin, table, radius, perturbed, dists)
+
+
+def _adjacency_noise(
+    table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
+) -> tuple[np.ndarray, float]:
+    """One rantext draw's noise vector, the first use of its stream, and its
+    norm, the adjacency radius."""
     if cfg.kind != "rantext":
         raise ContractError(f"random adjacency requires kind 'rantext', got {cfg.kind!r}")
     scale = cfg.sensitivity(table) / cfg.lap_epsilon
     noise = sample_laplace_vector(table.dim, scale, rng)
-    radius = float(np.linalg.norm(noise))
-    perturbed = table.vector(origin).astype(np.float64) + noise
-    return adjacency_within_radius(origin, table, radius, perturbed, dists)
+    return noise, float(np.linalg.norm(noise))
 
 
 def topk_adjacency(
@@ -280,14 +301,27 @@ def perturb_token(
     """
     if cfg.kind == "rantext":
         sample = compute_random_adjacency(origin, table, cfg, rng, dists)
-    elif cfg.kind == "topk":
-        sample = topk_adjacency(origin, table, cfg.top_k, dists)
     else:
-        sample = global_adjacency(origin, table, dists)
-    sample.scores = score_candidates(sample, table, cfg)
-    sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
-    choice = sample_categorical(sample.probs, rng)
-    return int(sample.candidates[choice]), sample
+        sample = _fixed_adjacency(origin, table, cfg, dists)
+    return _sample_candidate(sample, table, cfg, rng), sample
+
+
+def _fixed_adjacency(
+    origin: int, table: EmbeddingTable, cfg: MechanismConfig, dists: np.ndarray | None
+) -> AdjacencySample:
+    if cfg.kind == "topk":
+        return topk_adjacency(origin, table, cfg.top_k, dists)
+    return global_adjacency(origin, table, dists)
+
+
+def _sample_candidate(
+    sample: AdjacencySample, table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
+) -> int:
+    """Score ``sample`` unless it already is, then draw one candidate."""
+    if sample.probs is None:
+        sample.scores = score_candidates(sample, table, cfg)
+        sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
+    return int(sample.candidates[sample_categorical(sample.probs, rng)])
 
 
 def perturb_document(
@@ -300,9 +334,15 @@ def perturb_document(
     """Produce ``n_docs`` independent perturbed copies of ``doc``.
 
     Token i of copy j draws from the child stream keyed (j, i), so copies
-    are replayable and order-independent. That lets every draw of one
-    origin run on a single distance row, computed once and then dropped:
-    one row is alive at a time, whatever the document's length.
+    are replayable and order-independent, and each equals
+    ``perturb_token(origin, table, cfg, rng.child(j, i))``. That lets every
+    draw of one origin share one distance query, dropped once they are done:
+
+    * rantext draws each stream's noise first (its first use, as in
+      ``perturb_token``), makes one ``EmbeddingTable.within`` query at the
+      largest noise norm, and cuts every draw's adjacency from it;
+    * topk and global build the origin's one fixed adjacency from its full
+      distance row and score it once.
     """
     if n_docs < 1:
         raise ContractError(f"n_docs must be >= 1, got {n_docs}")
@@ -312,12 +352,22 @@ def perturb_document(
     perturbed = [[0] * len(doc) for _ in range(n_docs)]
     sizes = [[0] * len(doc) for _ in range(n_docs)]
     for origin, where in positions.items():
-        dists = table.distances_from(table.vector(origin))
-        for j in range(n_docs):
-            for i in where:
-                token, sample = perturb_token(origin, table, cfg, rng.child(j + 1, i), dists)
-                perturbed[j][i] = token
-                sizes[j][i] = int(sample.candidates.size)
+        draws = [(j, i, rng.child(j + 1, i)) for j in range(n_docs) for i in where]
+        vec = table.vector(origin)
+        if cfg.kind == "rantext":
+            noises = [_adjacency_noise(table, cfg, stream) for _, _, stream in draws]
+            ids, d = table.within(vec, max(r for _, r in noises))
+            origin_vec = vec.astype(np.float64)
+            samples = (
+                _radius_cut(origin, r, origin_vec + noise, ids, d) for noise, r in noises
+            )
+        else:
+            samples = itertools.repeat(
+                _fixed_adjacency(origin, table, cfg, table.distances_from(vec))
+            )
+        for (j, i, stream), sample in zip(draws, samples):
+            perturbed[j][i] = _sample_candidate(sample, table, cfg, stream)
+            sizes[j][i] = int(sample.candidates.size)
     return [
         PerturbedDocument(
             original_ids=doc,

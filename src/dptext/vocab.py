@@ -36,9 +36,13 @@ VOCAB_MAGIC = "DPTEXT-VOCAB v1"
 EMB_MAGIC = "DPTEXT-EMB v1"
 MERGES_MAGIC = "DPTEXT-MERGES v1"
 
-# bytes of one float64 block of rows in distances_from: small enough to stay
-# in cache, large enough that the per-block overhead is noise
+# bytes of one float64 block of rows in the distance kernel: small enough to
+# stay in cache, large enough that the per-block overhead is noise
 _BLOCK_BYTES = 1 << 18
+# the range-query index: at most this many pivot rows, picked by a fixed seed
+# so the index, like the table, is a function of the rows alone
+_INDEX_PIVOTS = 64
+_INDEX_SEED = 20231
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,30 @@ class TokenIdSeq:
 
 
 @dataclass(frozen=True)
+class _PivotIndex:
+    """An exact metric partition of a table's rows: cluster k holds the ascending
+    ids ``members[k]``, all within the covering radius ``radii[k]`` of the
+    pivot row ``pivots[k]``."""
+
+    pivots: np.ndarray
+    members: tuple[np.ndarray, ...]
+    radii: np.ndarray
+
+
+@dataclass(frozen=True)
 class EmbeddingTable:
     """One dense float32 vector per vocabulary token, indexed by token id.
 
     ``per_dim_range[k]`` is max - min of coordinate k over the table,
     computed once at construction; it feeds the default Laplace sensitivity.
+    The pivot index behind ``within`` is built on the first query. Threads
+    racing on that first build each build the same index from the same rows,
+    and whichever stores it last wins, so concurrent readers stay safe.
     """
 
     rows: np.ndarray
     per_dim_range: np.ndarray
+    _index: _PivotIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows) -> "EmbeddingTable":
@@ -123,6 +142,7 @@ class EmbeddingTable:
         table = cls.__new__(cls)
         object.__setattr__(table, "rows", arr)
         object.__setattr__(table, "per_dim_range", rng)
+        object.__setattr__(table, "_index", None)
         return table
 
     def __len__(self) -> int:
@@ -138,11 +158,46 @@ class EmbeddingTable:
     def distances_from(self, vec) -> np.ndarray:
         """Euclidean distance from ``vec`` to every row (float64).
 
-        The rows are cast to float64 (exactly) one ``_BLOCK_BYTES`` block at a
-        time, so memory beyond the returned row is one block. Every distance
-        is bit-identical to the one-shot ``diff = rows - v`` then
+        Memory beyond the returned row is one ``_BLOCK_BYTES`` block. Every
+        distance is bit-identical to the one-shot ``diff = rows - v`` then
         ``np.sqrt(np.einsum("ij,ij->i", diff, diff))``.
         """
+        return self._distances(self._query(vec))
+
+    def within(self, vec, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the rows within ``radius`` of ``vec``, ascending, and their
+        distances: exactly ``ids = np.nonzero(d <= radius)[0]`` and ``d[ids]``
+        for ``d = distances_from(vec)``, bit for bit.
+
+        A pivot index skips every cluster that the triangle inequality puts
+        beyond the radius; the rest are gathered in id order and measured with
+        ``distances_from``'s kernel. When no cluster can be skipped, the query
+        is the full row.
+        """
+        v = self._query(vec)
+        if not radius >= 0:
+            raise ContractError(f"radius must be >= 0, got {radius}")
+        index = self._index
+        if index is None:
+            index = self._build_index()
+            object.__setattr__(self, "_index", index)
+        to_pivot = self._distances(v, index.pivots)
+        # every row of cluster k is at least to_pivot - radii[k] away; the
+        # slack covers the rounding of the three computed distances, whose
+        # relative error stays below D * 2**-53, 1e-12 at D = 10,000
+        slack = 1e-9 * (radius + to_pivot + index.radii) + 1e-9
+        keep = np.nonzero(to_pivot - index.radii <= radius + slack)[0]
+        kept = [index.members[k] for k in keep]
+        if sum(m.size for m in kept) == len(self):
+            d = self._distances(v)
+            ids = np.nonzero(d <= radius)[0]
+            return ids, d[ids]
+        ids = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *kept]))
+        d = self._distances(v, ids)
+        hit = d <= radius
+        return ids[hit], d[hit]
+
+    def _query(self, vec) -> np.ndarray:
         v = np.asarray(vec, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ContractError(
@@ -150,20 +205,67 @@ class EmbeddingTable:
             )
         if not np.all(np.isfinite(v)):
             raise ContractError("vector has non-finite values")
-        size = len(self)
+        return v
+
+    def _distances(self, v: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+        """The distance kernel: distances from the float64 vector ``v`` to the
+        rows ``ids`` (every row when None), whose float32 values are cast to
+        float64 (exactly) one ``_BLOCK_BYTES`` block at a time. A row's
+        distance does not depend on which other rows share its block."""
         # einsum sums a lone row of more than 8,192 values in buffer-sized
-        # chunks, a different order, so a block holds at least two rows and the
-        # last block ends at the table's end, overlapping the one before it
-        # instead of shrinking
+        # chunks, a different order, so a block holds at least two rows: a lone
+        # gathered row goes in twice, and the last block ends at the end,
+        # overlapping the one before it instead of shrinking
+        lone = ids is not None and ids.size == 1 < len(self)
+        if lone:
+            ids = np.repeat(ids, 2)
+        size = len(self) if ids is None else ids.size
+        if size == 0:
+            return np.empty(0)
         n = min(max(2, _BLOCK_BYTES // (8 * self.dim)), size)
         out = np.empty(size)
         block = np.empty((n, self.dim))
         for start in range(0, size, n):
             first = min(start, size - n)
-            block[...] = self.rows[first : first + n]
+            if ids is None:
+                block[...] = self.rows[first : first + n]
+            else:
+                block[...] = self.rows[ids[first : first + n]]
             block -= v
             np.einsum("ij,ij->i", block, block, out=out[first : first + n])
-        return np.sqrt(out, out=out)
+        np.sqrt(out, out=out)
+        return out[:1] if lone else out
+
+    def _build_index(self) -> _PivotIndex:
+        """Partition the rows around ``_INDEX_PIVOTS`` pivot rows.
+
+        Each row joins its nearest pivot by a float32 GEMM over blocks of rows;
+        rounding may send a row to a pivot that is not quite the nearest, which
+        costs pruning, never correctness, since each covering radius is the
+        kernel's own largest distance from the pivot to its members.
+        """
+        size, dim = self.rows.shape
+        count = min(_INDEX_PIVOTS, size)
+        pivots = np.sort(
+            np.random.default_rng(_INDEX_SEED).choice(size, count, replace=False)
+        )
+        centres = self.rows[pivots]
+        # argmin of |x - c|^2 = argmax of x.c - |c|^2 / 2
+        half_sq = 0.5 * np.einsum("ij,ij->i", centres, centres)
+        assign = np.empty(size, dtype=np.intp)
+        n = max(1, _BLOCK_BYTES // (4 * max(dim, count)))
+        for start in range(0, size, n):
+            scores = self.rows[start : start + n] @ centres.T
+            scores -= half_sq
+            assign[start : start + n] = scores.argmax(axis=1)
+        order = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign[order], np.arange(count + 1))
+        members = tuple(order[bounds[k] : bounds[k + 1]] for k in range(count))
+        radii = np.array([
+            self._distances(self.rows[p].astype(np.float64), m).max(initial=0.0)
+            for p, m in zip(pivots, members)
+        ])
+        return _PivotIndex(pivots=pivots, members=members, radii=radii)
 
     def nearest(self, vec, k: int) -> np.ndarray:
         """Ids of the k nearest tokens to ``vec``, nearest first; ties broken

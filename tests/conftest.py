@@ -27,6 +27,36 @@ def line_vocab_table(positions):
     return vocab, table
 
 
+def clustered_table(seed=3, size=4096, dim=32, clusters=8):
+    """Well-separated Gaussian clusters: a table the pivot index can prune."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(scale=20.0, size=(clusters, dim))
+    rows = centres[rng.integers(0, clusters, size)] + rng.normal(size=(size, dim))
+    return EmbeddingTable.from_rows(rows.astype(np.float32))
+
+
+def unit_gaussian_table(seed=4, size=512, dim=256):
+    """Unit-norm Gaussian rows: all about sqrt(2) apart, nothing prunes."""
+    rows = np.random.default_rng(seed).normal(size=(size, dim))
+    return EmbeddingTable.from_rows(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def record_kernel_calls(monkeypatch, table):
+    """Build ``table``'s range-query index, then record what each later call
+    of the distance kernel measures: the number of rows gathered, or
+    ``"full row"``."""
+    table.within(table.vector(0), 0.0)
+    measured = []
+    kernel = EmbeddingTable._distances
+
+    def spy(self, v, ids=None):
+        measured.append("full row" if ids is None else ids.size)
+        return kernel(self, v, ids)
+
+    monkeypatch.setattr(EmbeddingTable, "_distances", spy)
+    return measured
+
+
 def write_vocab_file(path, tokens):
     lines = [f"DPTEXT-VOCAB v1 {len(tokens)}"]
     for i, tok in enumerate(tokens):

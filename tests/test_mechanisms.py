@@ -1,4 +1,5 @@
 import json
+import threading
 import types
 
 import numpy as np
@@ -10,6 +11,7 @@ import dptext.mechanisms as mechanisms
 from dptext.dpcore import Rng
 from dptext.errors import ContractError
 from dptext.mechanisms import (
+    SCORING_MODES,
     MechanismConfig,
     adjacency_within_radius,
     compute_random_adjacency,
@@ -23,7 +25,12 @@ from dptext.mechanisms import (
 )
 from dptext.vocab import EmbeddingTable, TokenIdSeq
 
-from .conftest import line_vocab_table
+from .conftest import (
+    clustered_table,
+    line_vocab_table,
+    record_kernel_calls,
+    unit_gaussian_table,
+)
 
 
 def brute_force_range_query(table, origin, radius):
@@ -369,18 +376,24 @@ class TestPerturbDocument:
         MechanismConfig(kind="global", epsilon_em=2.0),
     ], ids=lambda c: c.kind)
     def test_one_distance_row_per_distinct_origin(self, monkeypatch, cfg):
+        # rantext makes one range query per distinct origin, and no full row;
+        # topk and global compute one full row each, and no range query
         _, table = line_vocab_table([0.0, 0.5, 1.0, 2.0, 4.0])
-        scanned = []
-        scan = EmbeddingTable.distances_from
+        calls = {"within": [], "distances_from": []}
+        for name in calls:
+            method = getattr(EmbeddingTable, name)
 
-        def counted(self, vec):
-            scanned.append(float(vec[0]))
-            return scan(self, vec)
+            def counted(self, vec, *args, _name=name, _method=method):
+                calls[_name].append(float(vec[0]))
+                return _method(self, vec, *args)
 
-        monkeypatch.setattr(EmbeddingTable, "distances_from", counted)
+            monkeypatch.setattr(EmbeddingTable, name, counted)
         doc = TokenIdSeq(ids=(3, 0, 3, 1, 0, 3, 2))
         perturb_document(doc, table, cfg, 3, Rng(5))
-        assert sorted(scanned) == [0.0, 0.5, 1.0, 2.0]
+        query = "within" if cfg.kind == "rantext" else "distances_from"
+        other = "distances_from" if cfg.kind == "rantext" else "within"
+        assert sorted(calls[query]) == [0.0, 0.5, 1.0, 2.0]
+        assert calls[other] == []
 
     def test_order_independence_of_token_streams(self, rantext_cfg):
         # token i of copy j depends only on (seed, j, i), not on processing order
@@ -391,6 +404,65 @@ class TestPerturbDocument:
             for i, origin in enumerate(doc):
                 token, _ = perturb_token(origin, table, rantext_cfg, Rng(77).child(j, i))
                 assert token == full[j - 1].perturbed_ids[i]
+
+
+class TestPrunedPerturbation:
+    """perturb_document's pruned range queries against perturb_token's full row."""
+
+    DOC = TokenIdSeq(ids=(5, 900, 5, 4095, 17, 900, 2048, 5, 3333, 17, 1, 0))
+
+    def _assert_replays(self, doc, table, cfg, seed):
+        docs = perturb_document(doc, table, cfg, 3, Rng(seed))
+        for j, copy in enumerate(docs, start=1):
+            for i, origin in enumerate(doc):
+                token, sample = perturb_token(origin, table, cfg, Rng(seed).child(j, i))
+                assert token == copy.perturbed_ids[i]
+                assert sample.candidates.size == copy.adjacency_sizes[i]
+        return docs
+
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_clustered_table_prunes_and_equals_full_row_replay(self, monkeypatch, mode):
+        table = clustered_table()
+        cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.2,
+                              laplace_sensitivity=1.0, scoring_mode=mode)
+        measured = record_kernel_calls(monkeypatch, table)
+        perturb_document(self.DOC, table, cfg, 3, Rng(41))
+        # per distinct origin: the pivots, then the kept rows
+        origins = len(set(self.DOC))
+        assert len(measured) == 2 * origins
+        assert all(isinstance(n, int) and n < len(table) for n in measured[1::2])
+        docs = self._assert_replays(self.DOC, table, cfg, 41)
+        assert max(max(d.adjacency_sizes) for d in docs) > 1
+
+    @pytest.mark.parametrize("mode", SCORING_MODES)
+    def test_unit_gaussian_table_falls_back_to_full_row(self, monkeypatch, mode):
+        table = unit_gaussian_table()
+        cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, scoring_mode=mode)
+        doc = TokenIdSeq(ids=(3, 7, 3, 511, 0))
+        measured = record_kernel_calls(monkeypatch, table)
+        perturb_document(doc, table, cfg, 3, Rng(43))
+        assert measured == [64, "full row"] * len(set(doc))
+        self._assert_replays(doc, table, cfg, 43)
+
+    def test_concurrent_first_queries_agree(self):
+        cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.2,
+                              laplace_sensitivity=1.0)
+        want = perturb_document(self.DOC, clustered_table(), cfg, 3, Rng(47))
+        table = clustered_table()
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def worker(k):
+            start.wait()
+            results[k] = perturb_document(self.DOC, table, cfg, 3, Rng(47))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert results[0] == want and results[1] == want
+        assert not table.rows.flags.writeable
 
 
 class TestPerturbedJsonl:

@@ -1,11 +1,13 @@
 import base64
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dptext.vocab as vocab_module
 from dptext.errors import (
     ContractError,
     EmbeddingDataError,
@@ -30,7 +32,9 @@ from dptext.vocab import (
 
 from .conftest import (
     byte_complete_vocab,
+    clustered_table,
     make_vocab,
+    record_kernel_calls,
     write_emb_file,
     write_merges_file,
     write_vocab_file,
@@ -492,3 +496,119 @@ class TestDistancesFromBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * len(table) + 2 * _BLOCK_BYTES + 64 * 1024
+
+
+def _full_row_cut(table, vec, radius):
+    """The range query's oracle: the full distance row cut at the radius."""
+    full = table.distances_from(vec)
+    ids = np.nonzero(full <= radius)[0]
+    return ids, full[ids]
+
+
+class TestWithin:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                min_size=1, max_size=90,
+            )
+        ),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_equals_full_row_cut(self, rows, pivots, data):
+        # small integer grids: exact distances, many ties and duplicate rows;
+        # a few pivots give clusters of many rows, the default one row each
+        table = EmbeddingTable.from_rows(rows)
+        dim = table.dim
+        if data.draw(st.booleans(), label="row query"):
+            vec = table.vector(data.draw(st.integers(0, len(rows) - 1)))
+        else:
+            coords = st.integers(-2, 5).map(lambda c: c / 2)
+            vec = np.array(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
+        full = table.distances_from(vec)
+        n_pivots = data.draw(st.sampled_from([pivots, vocab_module._INDEX_PIVOTS]))
+        with mock.patch.object(vocab_module, "_INDEX_PIVOTS", n_pivots):
+            radii = [0.0, float(full.max()), float(full.max()) + 1.0,
+                     data.draw(st.sampled_from(full.tolist()), label="tie radius"),
+                     data.draw(st.floats(0.0, 6.0), label="radius")]
+            for radius in radii:
+                ids, d = table.within(vec, radius)
+                want = np.nonzero(full <= radius)[0]
+                assert np.array_equal(ids, want)
+                assert np.array_equal(d, full[want])
+
+    @pytest.mark.parametrize("rows", [[[1.5, -2.0]], [[0.0, 0.0], [3.0, 4.0]]])
+    def test_one_and_two_row_tables(self, rows):
+        table = EmbeddingTable.from_rows(rows)
+        for vec in [*table.rows, np.array([0.5, 0.25])]:
+            for radius in (0.0, 1.0, 5.0, 100.0):
+                ids, d = table.within(vec, radius)
+                want_ids, want_d = _full_row_cut(table, vec, radius)
+                assert np.array_equal(ids, want_ids) and np.array_equal(d, want_d)
+
+    def test_lone_gathered_row_at_large_dimension(self):
+        # at D = 9,000 einsum sums a lone row in another order than a row in a
+        # block of two; here that changes the last bit, so only the >= 2 rows
+        # rule makes the one kept row equal the full row
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(4, 9000)).astype(np.float32)
+        table = EmbeddingTable.from_rows(rows)
+        vec = rows[2].astype(np.float64) + rng.normal(scale=0.01, size=9000)
+        diff = rows[2:3].astype(np.float64) - vec
+        lone = np.sqrt(np.einsum("ij,ij->i", diff, diff))[0]
+        full = table.distances_from(vec)
+        assert lone != full[2]
+        ids, d = table.within(vec, full[2])
+        assert ids.tolist() == [2]
+        assert np.array_equal(d, full[2:3])
+
+    def test_clustered_table_prunes_and_stays_exact(self, monkeypatch):
+        table = clustered_table()
+        measured = record_kernel_calls(monkeypatch, table)
+        for origin in range(0, len(table), 97):
+            vec = table.vector(origin)
+            ids, d = table.within(vec, 6.0)
+            want_ids, want_d = _full_row_cut(table, vec, 6.0)
+            assert np.array_equal(ids, want_ids) and np.array_equal(d, want_d)
+        # each query gathers the pivots, then its kept rows; the oracle's are
+        # the only full rows
+        queries = measured[::3], measured[1::3], measured[2::3]
+        assert set(queries[0]) == {64} and set(queries[2]) == {"full row"}
+        assert all(isinstance(n, int) and n < len(table) // 4 for n in queries[1])
+
+    def test_index_is_built_once(self):
+        rows = np.random.default_rng(2).normal(size=(200, 8)).astype(np.float32)
+        table = EmbeddingTable.from_rows(rows)
+        assert table._index is None
+        table.within(table.vector(0), 1.0)
+        index = table._index
+        table.within(table.vector(5), 2.0)
+        assert table._index is index
+        assert index.pivots.size == 64
+        assert sorted(np.concatenate(index.members).tolist()) == list(range(200))
+        assert "_index" not in repr(table)
+
+    def test_build_memory_is_bounded(self):
+        rows = np.random.default_rng(1).normal(size=(40_000, 64)).astype(np.float32)
+        table = EmbeddingTable.from_rows(rows)
+        tracemalloc.start()
+        try:
+            table.within(table.vector(17), 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a |V| x 64 float64 temporary alone would be 20 MB
+        assert peak < 40 * len(table) + 4 * _BLOCK_BYTES
+
+    def test_contract(self):
+        table = EmbeddingTable.from_rows([[0.0, 0.0], [3.0, 4.0]])
+        with pytest.raises(ContractError):
+            table.within(np.zeros(3), 1.0)
+        with pytest.raises(ContractError, match="non-finite"):
+            table.within(np.array([0.0, np.inf]), 1.0)
+        with pytest.raises(ContractError, match="radius"):
+            table.within(np.zeros(2), -1.0)
+        with pytest.raises(ContractError, match="radius"):
+            table.within(np.zeros(2), float("nan"))
