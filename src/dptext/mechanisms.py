@@ -32,7 +32,7 @@ from .dpcore import (
 )
 from .errors import ContractError
 from .fileio import atomic_write
-from .vocab import EmbeddingTable, TokenIdSeq, _k_smallest
+from .vocab import _BLOCK_BYTES, EmbeddingTable, TokenIdSeq, _k_smallest
 
 KINDS = ("rantext", "topk", "global")
 SCORING_MODES = ("def4-consistent", "paper-final")
@@ -196,21 +196,24 @@ def compute_random_adjacency(
     origin's embedding; the adjacency is every token whose embedding lies
     within the noise norm of the original embedding.
     """
-    noise, radius = _adjacency_noise(table, cfg, rng)
+    (noise,), (radius,) = _adjacency_noise(table, cfg, rng)
     perturbed = table.vector(origin).astype(np.float64) + noise
     return adjacency_within_radius(origin, table, radius, perturbed, dists)
 
 
 def _adjacency_noise(
-    table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
-) -> tuple[np.ndarray, float]:
-    """One rantext draw's noise vector, the first use of its stream, and its
-    norm, the adjacency radius."""
+    table: EmbeddingTable, cfg: MechanismConfig, rng: Rng, n: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` successive rantext draws from ``rng``: their noise rows (n x dim)
+    and norms, the adjacency radii. One draw is the first use of its stream;
+    n draws at once equal n calls with n = 1, bit for bit: the stream yields
+    the same uniforms, and each norm is the same ``ddot`` of its row that
+    ``np.linalg.norm`` computes (a row-wise sum would reorder it)."""
     if cfg.kind != "rantext":
         raise ContractError(f"random adjacency requires kind 'rantext', got {cfg.kind!r}")
     scale = cfg.sensitivity(table) / cfg.lap_epsilon
-    noise = sample_laplace_vector(table.dim, scale, rng)
-    return noise, float(np.linalg.norm(noise))
+    noise = sample_laplace_vector(n * table.dim, scale, rng).reshape(n, table.dim)
+    return noise, np.sqrt((noise[:, None, :] @ noise[:, :, None]).reshape(n))
 
 
 def topk_adjacency(
@@ -278,14 +281,24 @@ def score_candidates(
     origin_vec = table.vector(sample.origin).astype(np.float64)
     if np.array_equal(sample.perturbed_embedding, origin_vec):
         return np.ones(cands.size)
-    rows = table.rows[cands].astype(np.float64)
-    d_hat = np.sqrt(((rows - sample.perturbed_embedding) ** 2).sum(axis=1))
-    normalized = minmax_normalize(d_hat)
+    normalized = minmax_normalize(_distances_to(sample.perturbed_embedding, table, cands))
     origin_pos = int(np.searchsorted(cands, sample.origin))
     denom = normalized[origin_pos]
     if denom == 0.0:
         return np.ones(cands.size)
     return np.clip(normalized / denom, 0.0, 1.0)
+
+
+def _distances_to(point: np.ndarray, table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
+    """Distances from ``point`` to the rows ``ids``, gathered one
+    ``_BLOCK_BYTES`` block of float64 rows at a time, so memory does not grow
+    with the adjacency. A row's sum does not depend on the block's height."""
+    out = np.empty(ids.size)
+    n = max(1, _BLOCK_BYTES // (8 * table.dim))
+    for start in range(0, ids.size, n):
+        rows = table.rows[ids[start : start + n]].astype(np.float64)
+        out[start : start + n] = np.sqrt(((rows - point) ** 2).sum(axis=1))
+    return out
 
 
 def perturb_token(
@@ -356,10 +369,11 @@ def perturb_document(
         vec = table.vector(origin)
         if cfg.kind == "rantext":
             noises = [_adjacency_noise(table, cfg, stream) for _, _, stream in draws]
-            ids, d = table.within(vec, max(r for _, r in noises))
+            ids, d = table.within(vec, max(r for _, (r,) in noises))
             origin_vec = vec.astype(np.float64)
             samples = (
-                _radius_cut(origin, r, origin_vec + noise, ids, d) for noise, r in noises
+                _radius_cut(origin, r, origin_vec + noise, ids, d)
+                for (noise,), (r,) in noises
             )
         else:
             samples = itertools.repeat(

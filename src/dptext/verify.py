@@ -4,7 +4,8 @@ Every check runs on a desk-scale fixture where the claim can be computed
 exactly or estimated with known statistics:
 
 * exact exponential-mechanism ratio bounds (enumeration, no sampling);
-* adjacency membership monotonicity and full support (Monte Carlo);
+* adjacency membership monotonicity and full support (Monte Carlo, drawn in
+  blocks through the mechanism's own noise draw);
 * scoring monotonicity under every reachable adjacency (exhaustive).
 
 Checks never call network backends. Monte Carlo checks take an explicit
@@ -23,14 +24,16 @@ from .dpcore import Rng, exp_mechanism_probs
 from .errors import ContractError
 from .mechanisms import (
     MechanismConfig,
+    _adjacency_noise,
     adjacency_within_radius,
-    compute_random_adjacency,
     score_candidates,
 )
 from .vocab import EmbeddingTable
 
 EM_RATIO_TOL = 1e-9
 SCORE_ORDER_TOL = 1e-12
+# Monte Carlo adjacency draws per noise call: memory stays fixed in the trials
+MC_BLOCK = 4096
 
 
 @dataclass
@@ -100,13 +103,11 @@ def check_em_dp(score_table, epsilon: float) -> VerificationResult:
         raise ContractError(f"epsilon must be >= 0, got {epsilon}")
     z = epsilon * matrix / 2.0
     logp = z - _logsumexp_rows(z)
-    worst = 0.0
     n = matrix.shape[0]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            worst = max(worst, float(np.max(logp[a] - logp[b])))
+    # the largest logp[a] - logp[b] over a != b is, per column, its largest
+    # minus its smallest entry: exactly, since rounding is monotone. A single
+    # input, or a column of equal entries, gives 0, as a != b would.
+    worst = float((logp.max(0) - logp.min(0)).max())
     return VerificationResult(
         name=f"em-dp-ratio-eps-{epsilon:g}",
         passed=worst <= epsilon + EM_RATIO_TOL,
@@ -132,6 +133,11 @@ def check_em_dp_random_tables(
     """Run check_em_dp over many random score tables; worst case across all."""
     if n_tables < 1:
         raise ContractError(f"n_tables must be >= 1, got {n_tables}")
+    # one input or one candidate admits no ratio, so would pass vacuously
+    if n_inputs < 2:
+        raise ContractError(f"n_inputs must be >= 2, got {n_inputs}")
+    if max_candidates < 2:
+        raise ContractError(f"max_candidates must be >= 2, got {max_candidates}")
     worst = 0.0
     for _ in range(n_tables):
         n_cands = 2 + int(rng.uniform() * (max_candidates - 1))
@@ -147,6 +153,16 @@ def check_em_dp_random_tables(
         details={"tables": n_tables, "inputs": n_inputs, "max_candidates": max_candidates},
         deterministic=True,
     )
+
+
+def _radius_blocks(table: EmbeddingTable, cfg: MechanismConfig, trials: int, rng: Rng):
+    """The adjacency radii of ``trials`` successive rantext draws from ``rng``,
+    as (index of the block's first trial, radii) in blocks of ``MC_BLOCK``.
+    They are the radii ``compute_random_adjacency`` would draw call by call,
+    bit for bit, and a draw's adjacency is every token within its radius."""
+    for start in range(0, trials, MC_BLOCK):
+        _, radii = _adjacency_noise(table, cfg, rng, min(MC_BLOCK, trials - start))
+        yield start, radii
 
 
 def check_membership_monotonicity(
@@ -169,6 +185,12 @@ def check_membership_monotonicity(
     """
     if trials < 10000:
         raise ContractError(f"trials must be >= 10000, got {trials}")
+    roles = (origin, nearer, farther)
+    if len(set(roles)) != 3 or not all(0 <= i < len(positions) for i in roles):
+        raise ContractError(
+            f"origin, nearer and farther must be distinct indices in "
+            f"[0, {len(positions)}), got {roles}"
+        )
     table = line_layout(positions)
     d_near = abs(positions[nearer] - positions[origin])
     d_far = abs(positions[farther] - positions[origin])
@@ -180,15 +202,9 @@ def check_membership_monotonicity(
     dists = table.distances_from(table.vector(origin))
     hits_near = 0
     hits_far = 0
-    for _ in range(trials):
-        sample = compute_random_adjacency(origin, table, cfg, rng, dists)
-        cands = sample.candidates
-        pos = np.searchsorted(cands, nearer)
-        if pos < cands.size and cands[pos] == nearer:
-            hits_near += 1
-        pos = np.searchsorted(cands, farther)
-        if pos < cands.size and cands[pos] == farther:
-            hits_far += 1
+    for _, radii in _radius_blocks(table, cfg, trials, rng):
+        hits_near += int(np.count_nonzero(dists[nearer] <= radii))
+        hits_far += int(np.count_nonzero(dists[farther] <= radii))
     freq_near = hits_near / trials
     freq_far = hits_far / trials
     margin = freq_near - freq_far
@@ -214,6 +230,27 @@ def check_membership_monotonicity(
     )
 
 
+def _observed_support(vocab_size: int, eps_lap: float, trials: int, rng: Rng) -> np.ndarray:
+    """The (origin, target) pairs that co-occur in ``trials`` adjacency draws
+    round-robin over the origins of a 1-D layout of ``vocab_size`` tokens."""
+    table = line_layout(list(range(vocab_size)))
+    # a single-token layout has zero coordinate range, so auto sensitivity is undefined
+    sensitivity = "auto" if vocab_size > 1 else 1.0
+    cfg = MechanismConfig(
+        kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap,
+        laplace_sensitivity=sensitivity,
+    )
+    rows = np.array([table.distances_from(table.vector(o)) for o in range(vocab_size)])
+    # trial t draws for origin t % vocab_size; the adjacency grows with the
+    # radius, so an origin's union of adjacencies is the one at its largest
+    reach = np.full(vocab_size, -np.inf)
+    for start, radii in _radius_blocks(table, cfg, trials, rng):
+        for o in range(vocab_size):
+            drawn = radii[(o - start) % vocab_size :: vocab_size]
+            reach[o] = max(reach[o], drawn.max(initial=-np.inf))
+    return rows <= reach[:, None]
+
+
 def check_full_support(
     vocab_size: int,
     eps_lap: float,
@@ -230,19 +267,7 @@ def check_full_support(
         raise ContractError(f"vocab_size must be in [1, 10], got {vocab_size}")
     if trials < 20000:
         raise ContractError(f"trials must be >= 20000, got {trials}")
-    table = line_layout(list(range(vocab_size)))
-    # a single-token layout has zero coordinate range, so auto sensitivity is undefined
-    sensitivity = "auto" if vocab_size > 1 else 1.0
-    cfg = MechanismConfig(
-        kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap,
-        laplace_sensitivity=sensitivity,
-    )
-    rows = [table.distances_from(table.vector(o)) for o in range(vocab_size)]
-    observed = np.zeros((vocab_size, vocab_size), dtype=bool)
-    for t in range(trials):
-        origin = t % vocab_size
-        sample = compute_random_adjacency(origin, table, cfg, rng, rows[origin])
-        observed[origin, sample.candidates] = True
+    observed = _observed_support(vocab_size, eps_lap, trials, rng)
     coverage = float(observed.mean())
     missing = int(observed.size - observed.sum())
     return VerificationResult(

@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -131,6 +132,22 @@ class TestRandomAdjacency:
         sample = compute_random_adjacency(0, table, rantext_cfg, Rng(3))
         noise = sample.perturbed_embedding - table.vector(0).astype(float)
         assert sample.radius == pytest.approx(float(np.linalg.norm(noise)), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 256])
+    def test_batched_noise_equals_per_draw_loop(self, dim):
+        # n draws at once are n draws with n = 1 from the same stream, bit for
+        # bit, and each radius is np.linalg.norm's ddot of its row (a row-wise
+        # sum such as np.linalg.norm(noise, axis=1) differs in the last bit)
+        table = EmbeddingTable.from_rows(np.random.default_rng(dim).normal(size=(4, dim)))
+        cfg = MechanismConfig(kind="rantext", epsilon_em=1.0, epsilon_lap=0.9)
+        draws = 2000
+        noise, radii = mechanisms._adjacency_noise(table, cfg, Rng(31), draws)
+        stream = Rng(31)
+        per_draw = [mechanisms._adjacency_noise(table, cfg, stream) for _ in range(draws)]
+        assert noise.shape == (draws, dim) and radii.shape == (draws,)
+        assert noise.tobytes() == np.concatenate([n for n, _ in per_draw]).tobytes()
+        assert radii.tobytes() == np.concatenate([r for _, r in per_draw]).tobytes()
+        assert radii.tolist() == [float(np.linalg.norm(row)) for row in noise]
 
     def test_requires_rantext_kind(self):
         _, table = line_vocab_table([0.0, 1.0])
@@ -284,6 +301,36 @@ class TestScoreCandidates:
                 sample = compute_random_adjacency(2, table, cfg, rng)
                 scores = score_candidates(sample, table, cfg)
                 assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 6, 256, 1536])
+    def test_paper_final_blocked_distances_equal_one_shot(self, monkeypatch, dim):
+        rows = np.random.default_rng(dim).normal(size=(300, dim))
+        table = EmbeddingTable.from_rows(rows)
+        ids = np.sort(np.random.default_rng(1).choice(300, 257, replace=False))
+        point = np.random.default_rng(2).normal(size=dim)
+        one_shot = np.sqrt(((table.rows[ids].astype(np.float64) - point) ** 2).sum(axis=1))
+        # one row per block, a few rows with a remainder, and the default
+        for block_bytes in (8 * dim, 8 * dim * 7, mechanisms._BLOCK_BYTES):
+            monkeypatch.setattr(mechanisms, "_BLOCK_BYTES", block_bytes)
+            got = mechanisms._distances_to(point, table, ids)
+            assert got.tobytes() == one_shot.tobytes()
+
+    def test_paper_final_memory_is_bounded(self):
+        # unit-norm rows are about sqrt(2) apart, far inside the noise norm,
+        # so the adjacency is the whole vocabulary; gathering its rows as
+        # float64 at once would take 8192 x 256 x 8 B = 16 MB per temporary
+        table = unit_gaussian_table(size=8192, dim=256)
+        cfg = MechanismConfig(kind="rantext", epsilon_em=1.0, scoring_mode="paper-final")
+        row = table.distances_from(table.vector(0))
+        perturb_token(0, table, cfg, Rng(8), row)
+        tracemalloc.start()
+        try:
+            _, sample = perturb_token(0, table, cfg, Rng(8), row)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.candidates.size == len(table)
+        assert peak < 2 * 2**20
 
     def test_baselines_score_def4_even_when_paper_final_configured(self):
         _, table = line_vocab_table([0.0, 2.0, 4.0])

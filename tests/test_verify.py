@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dptext.dpcore import Rng, exp_mechanism_probs
 from dptext.errors import ContractError
-from dptext.mechanisms import MechanismConfig
+from dptext.mechanisms import MechanismConfig, compute_random_adjacency
 from dptext.verify import (
+    MC_BLOCK,
+    _logsumexp_rows,
+    _observed_support,
     check_document_privacy_monotonicity,
     check_em_dp,
     check_em_dp_random_tables,
@@ -24,6 +30,51 @@ def em_distribution_oracle(scores, epsilon):
     weights = [math.exp(epsilon * s / 2.0) for s in scores]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def em_dp_worst_oracle(matrix, epsilon):
+    """The pairwise loop check_em_dp once ran: the largest log-probability
+    ratio over ordered input pairs a != b and outputs, starting from 0."""
+    z = epsilon * np.asarray(matrix, dtype=np.float64) / 2.0
+    logp = z - _logsumexp_rows(z)
+    worst = 0.0
+    n = logp.shape[0]
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                worst = max(worst, float(np.max(logp[a] - logp[b])))
+    return worst
+
+
+def membership_oracle(positions, origin, nearer, farther, eps_lap, trials, rng):
+    """The per-trial loop check_membership_monotonicity once ran: one
+    compute_random_adjacency call per trial. Returns (freq_nearer, freq_farther)."""
+    table = line_layout(positions)
+    cfg = MechanismConfig(kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap)
+    dists = table.distances_from(table.vector(origin))
+    hits_near = hits_far = 0
+    for _ in range(trials):
+        cands = compute_random_adjacency(origin, table, cfg, rng, dists).candidates.tolist()
+        hits_near += nearer in cands
+        hits_far += farther in cands
+    return hits_near / trials, hits_far / trials
+
+
+def support_oracle(vocab_size, eps_lap, trials, rng):
+    """The per-trial loop check_full_support once ran, round-robin over
+    origins. Returns the observed (origin, target) matrix."""
+    table = line_layout(list(range(vocab_size)))
+    cfg = MechanismConfig(
+        kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap,
+        laplace_sensitivity="auto" if vocab_size > 1 else 1.0,
+    )
+    rows = [table.distances_from(table.vector(o)) for o in range(vocab_size)]
+    observed = np.zeros((vocab_size, vocab_size), dtype=bool)
+    for t in range(trials):
+        origin = t % vocab_size
+        sample = compute_random_adjacency(origin, table, cfg, rng, rows[origin])
+        observed[origin, sample.candidates] = True
+    return observed
 
 
 class TestCheckEmDp:
@@ -85,11 +136,34 @@ class TestCheckEmDp:
             assert result.worst_case == pytest.approx(worst, abs=1e-9)
             assert result.passed
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+        levels=st.sampled_from([None, 2, 3]),
+        eps=st.sampled_from([0.0, 0.01, 0.5, 1.0, 6.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_worst_equals_pairwise_loop_bit_for_bit(self, shape, levels, eps, seed):
+        # levels draws scores from a few values, so rows and columns tie
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            table = rng.uniform(size=shape)
+        else:
+            table = rng.integers(0, levels, size=shape) / (levels - 1)
+        assert check_em_dp(table, eps).worst_case == em_dp_worst_oracle(table, eps)
+
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 6.0])
     def test_random_tables_respect_bound(self, eps):
         result = check_em_dp_random_tables(250, eps, Rng(int(eps * 100)))
         assert result.passed
         assert result.worst_case <= eps + 1e-9
+
+    @pytest.mark.parametrize("kwargs", [dict(n_inputs=1), dict(max_candidates=1),
+                                        dict(n_inputs=0), dict(max_candidates=0)])
+    def test_random_tables_reject_vacuous_shapes(self, kwargs):
+        # one input or one candidate has no ratio to bound: it would pass with worst=0
+        with pytest.raises(ContractError):
+            check_em_dp_random_tables(10, 1.0, Rng(0), **kwargs)
 
 
 class TestCheckMembershipMonotonicity:
@@ -131,6 +205,55 @@ class TestCheckMembershipMonotonicity:
                 (0.0, 1.0, 3.0), 0, 1, 2, eps_lap=1.0, trials=100, rng=Rng(0)
             )
 
+    @pytest.mark.parametrize("roles", [
+        (-3, 1, 2),  # would wrap to origin 0
+        (0, -1, 2),  # would wrap to token 2
+        (0, 1, 3),   # past the end
+        (0, 1, 1),   # nearer == farther: vacuous
+        (1, 1, 2),   # origin is its own nearer token
+        (2, 1, 2),
+    ])
+    def test_roles_must_be_distinct_indices_in_range(self, roles):
+        origin, nearer, farther = roles
+        with pytest.raises(ContractError, match="distinct indices"):
+            check_membership_monotonicity(
+                (0.0, 1.0, 3.0), origin, nearer, farther,
+                eps_lap=1.0, trials=10000, rng=Rng(0),
+            )
+
+    @pytest.mark.parametrize("seed, positions, origin, nearer, farther, eps_lap", [
+        (1, (0.0, 1.0, 3.0), 0, 1, 2, 1.0),
+        (7, (0.0, 1.0, 3.0), 0, 1, 2, 1.0),
+        (11, (0.0, 0.5, -2.0, 4.0, 9.0), 1, 0, 3, 0.3),
+        (303, (0.0, 0.5, -2.0, 4.0, 9.0), 1, 0, 3, 0.3),
+    ])
+    def test_frequencies_equal_per_trial_loop(
+        self, seed, positions, origin, nearer, farther, eps_lap
+    ):
+        trials = 10000 + 3  # a partial last block
+        result = check_membership_monotonicity(
+            positions, origin, nearer, farther, eps_lap, trials, Rng(seed)
+        )
+        freq_near, freq_far = membership_oracle(
+            positions, origin, nearer, farther, eps_lap, trials, Rng(seed)
+        )
+        assert result.details["freq_nearer"] == freq_near
+        assert result.details["freq_farther"] == freq_far
+
+    def test_memory_does_not_grow_with_trials(self):
+        # one draw is 8 bytes of noise and radius each; a million at once
+        # would hold several 8 MB arrays
+        kwargs = dict(positions=(0.0, 1.0, 3.0), origin=0, nearer=1, farther=2, eps_lap=1.0)
+        check_membership_monotonicity(trials=10000, rng=Rng(1), **kwargs)
+        tracemalloc.start()
+        try:
+            result = check_membership_monotonicity(trials=1_000_000, rng=Rng(1), **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.details["trials"] == 1_000_000
+        assert peak < 64 * MC_BLOCK * 8
+
     def test_reproducible_frequencies(self):
         kwargs = dict(
             positions=(0.0, 1.0, 3.0), origin=0, nearer=1, farther=2,
@@ -164,6 +287,19 @@ class TestCheckFullSupport:
         assert result.worst_case == float(
             round((1 - result.details["coverage_fraction"]) * 100)
         )
+
+    @pytest.mark.parametrize("seed, vocab_size, eps_lap", [
+        (1, 5, 1.0), (7, 10, 30.0), (404, 10, 30.0), (11, 6, 15.0),
+    ])
+    def test_coverage_equals_per_trial_loop(self, seed, vocab_size, eps_lap):
+        # the larger epsilons leave pairs unseen, so coverage is partial
+        trials = 20000 + 5  # a partial last block, not a multiple of vocab_size
+        observed = support_oracle(vocab_size, eps_lap, trials, Rng(seed))
+        batched = _observed_support(vocab_size, eps_lap, trials, Rng(seed))
+        assert batched.tolist() == observed.tolist()
+        result = check_full_support(vocab_size, eps_lap, trials, Rng(seed))
+        assert result.details["coverage_fraction"] == float(observed.mean())
+        assert result.worst_case == float(observed.size - observed.sum())
 
     def test_vocab_size_contract(self):
         with pytest.raises(ContractError):
