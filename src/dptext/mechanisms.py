@@ -16,10 +16,9 @@ the exponential mechanism with sensitivity 1, and one candidate is sampled.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .dpcore import (
 )
 from .errors import ContractError
 from .fileio import atomic_write
-from .vocab import _BLOCK_BYTES, EmbeddingTable, TokenIdSeq, _k_smallest
+from .vocab import EmbeddingTable, TokenIdSeq, _k_smallest
 
 KINDS = ("rantext", "topk", "global")
 SCORING_MODES = ("def4-consistent", "paper-final")
@@ -140,28 +139,20 @@ class PerturbedDocument:
             )
 
 
-def _origin_row(origin: int, table: EmbeddingTable, dists: np.ndarray | None) -> np.ndarray:
-    """Distances from the origin's embedding to every token: ``dists`` when
-    the caller already holds that row, else a fresh scan."""
-    return table.distances_from(table.vector(origin)) if dists is None else dists
-
-
 def adjacency_within_radius(
     origin: int,
     table: EmbeddingTable,
     radius: float,
     perturbed_embedding: np.ndarray | None = None,
-    dists: np.ndarray | None = None,
 ) -> AdjacencySample:
     """Deterministic range query: all tokens within ``radius`` of the origin's
     embedding. The randomized mechanism draws the radius; verification and
     tests force it."""
-    if radius < 0:
-        raise ContractError(f"radius must be >= 0, got {radius}")
+    vec = table.vector(origin)
     if perturbed_embedding is None:
-        perturbed_embedding = table.vector(origin).astype(np.float64)
-    d = _origin_row(origin, table, dists)
-    return _radius_cut(origin, radius, perturbed_embedding, None, d)
+        perturbed_embedding = vec
+    ids, d = table.within(vec, radius)
+    return _radius_cut(origin, radius, perturbed_embedding, ids, d)
 
 
 def _radius_cut(
@@ -184,11 +175,7 @@ def _radius_cut(
 
 
 def compute_random_adjacency(
-    origin: int,
-    table: EmbeddingTable,
-    cfg: MechanismConfig,
-    rng: Rng,
-    dists: np.ndarray | None = None,
+    origin: int, table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
 ) -> AdjacencySample:
     """Draw a random adjacency for ``origin``.
 
@@ -196,9 +183,20 @@ def compute_random_adjacency(
     origin's embedding; the adjacency is every token whose embedding lies
     within the noise norm of the original embedding.
     """
-    (noise,), (radius,) = _adjacency_noise(table, cfg, rng)
-    perturbed = table.vector(origin).astype(np.float64) + noise
-    return adjacency_within_radius(origin, table, radius, perturbed, dists)
+    return next(_random_adjacencies(origin, table, cfg, [rng]))
+
+
+def _random_adjacencies(
+    origin: int, table: EmbeddingTable, cfg: MechanismConfig, streams: Sequence[Rng]
+) -> Iterator[AdjacencySample]:
+    """One random adjacency of ``origin`` per stream, each the
+    ``compute_random_adjacency`` of its stream alone: every stream's noise is
+    drawn first, then one ``EmbeddingTable.within`` query at the largest noise
+    norm serves every draw, cut at its own radius as it is consumed."""
+    noises = [_adjacency_noise(table, cfg, stream) for stream in streams]
+    vec = table.vector(origin)
+    ids, d = table.within(vec, max(r for _, (r,) in noises))
+    return (_radius_cut(origin, r, vec + noise, ids, d) for (noise,), (r,) in noises)
 
 
 def _adjacency_noise(
@@ -216,19 +214,14 @@ def _adjacency_noise(
     return noise, np.sqrt((noise[:, None, :] @ noise[:, :, None]).reshape(n))
 
 
-def topk_adjacency(
-    origin: int,
-    table: EmbeddingTable,
-    k: int,
-    dists: np.ndarray | None = None,
-) -> AdjacencySample:
+def topk_adjacency(origin: int, table: EmbeddingTable, k: int) -> AdjacencySample:
     """Fixed adjacency: the origin plus its k-1 nearest tokens.
 
     Ties break by smaller token id; the origin itself is always a member,
     even when another token shares its embedding.
     """
     k = min(k, len(table))
-    d = _origin_row(origin, table, dists)
+    d = table.distances_from(table.vector(origin))
     # the origin ranks first; the k-th smallest key is the farthest member
     key = d.copy()
     key[origin] = -1.0
@@ -242,11 +235,9 @@ def topk_adjacency(
     )
 
 
-def global_adjacency(
-    origin: int, table: EmbeddingTable, dists: np.ndarray | None = None
-) -> AdjacencySample:
+def global_adjacency(origin: int, table: EmbeddingTable) -> AdjacencySample:
     """Fixed adjacency: the whole vocabulary."""
-    d = _origin_row(origin, table, dists)
+    d = table.distances_from(table.vector(origin))
     return AdjacencySample(
         origin=origin,
         radius=float(d.max()),
@@ -281,7 +272,8 @@ def score_candidates(
     origin_vec = table.vector(sample.origin).astype(np.float64)
     if np.array_equal(sample.perturbed_embedding, origin_vec):
         return np.ones(cands.size)
-    normalized = minmax_normalize(_distances_to(sample.perturbed_embedding, table, cands))
+    point = table._query(sample.perturbed_embedding)
+    normalized = minmax_normalize(table._distances(point, cands))
     origin_pos = int(np.searchsorted(cands, sample.origin))
     denom = normalized[origin_pos]
     if denom == 0.0:
@@ -289,52 +281,41 @@ def score_candidates(
     return np.clip(normalized / denom, 0.0, 1.0)
 
 
-def _distances_to(point: np.ndarray, table: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
-    """Distances from ``point`` to the rows ``ids``, gathered one
-    ``_BLOCK_BYTES`` block of float64 rows at a time, so memory does not grow
-    with the adjacency. A row's sum does not depend on the block's height."""
-    out = np.empty(ids.size)
-    n = max(1, _BLOCK_BYTES // (8 * table.dim))
-    for start in range(0, ids.size, n):
-        rows = table.rows[ids[start : start + n]].astype(np.float64)
-        out[start : start + n] = np.sqrt(((rows - point) ** 2).sum(axis=1))
-    return out
-
-
 def perturb_token(
-    origin: int,
-    table: EmbeddingTable,
-    cfg: MechanismConfig,
-    rng: Rng,
-    dists: np.ndarray | None = None,
+    origin: int, table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
 ) -> tuple[int, AdjacencySample]:
-    """Replace one token: build its adjacency, score, and sample a candidate.
+    """Replace one token: build its adjacency, score, and sample a candidate."""
+    return next(_perturb_origin(origin, table, cfg, [rng]))
 
-    ``dists`` is the origin's distance row when the caller already holds it.
+
+def _perturb_origin(
+    origin: int, table: EmbeddingTable, cfg: MechanismConfig, streams: Sequence[Rng]
+) -> Iterator[tuple[int, AdjacencySample]]:
+    """Perturb ``origin`` once per stream, yielding each draw's token and its
+    scored adjacency. Every token perturbation runs here, with one distance
+    query for all of the origin's draws:
+
+    * rantext cuts each draw's adjacency from one range query
+      (``_random_adjacencies``), then scores it and samples from its stream;
+    * topk and global build the origin's one fixed adjacency, score it once,
+      and sample every draw from it.
+
+    With distinct streams each draw is ``perturb_token`` on its stream alone.
+    A stream given more than once serves its draws in turn, but rantext draws
+    every noise before any sample. Adjacencies are made as they are consumed,
+    so memory holds one at a time.
     """
     if cfg.kind == "rantext":
-        sample = compute_random_adjacency(origin, table, cfg, rng, dists)
+        samples = _random_adjacencies(origin, table, cfg, streams)
+    elif cfg.kind == "topk":
+        samples = [topk_adjacency(origin, table, cfg.top_k)] * len(streams)
     else:
-        sample = _fixed_adjacency(origin, table, cfg, dists)
-    return _sample_candidate(sample, table, cfg, rng), sample
-
-
-def _fixed_adjacency(
-    origin: int, table: EmbeddingTable, cfg: MechanismConfig, dists: np.ndarray | None
-) -> AdjacencySample:
-    if cfg.kind == "topk":
-        return topk_adjacency(origin, table, cfg.top_k, dists)
-    return global_adjacency(origin, table, dists)
-
-
-def _sample_candidate(
-    sample: AdjacencySample, table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
-) -> int:
-    """Score ``sample`` unless it already is, then draw one candidate."""
-    if sample.probs is None:
-        sample.scores = score_candidates(sample, table, cfg)
-        sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
-    return int(sample.candidates[sample_categorical(sample.probs, rng)])
+        samples = [global_adjacency(origin, table)] * len(streams)
+    for sample, stream in zip(samples, streams):
+        if sample.probs is None:
+            sample.scores = score_candidates(sample, table, cfg)
+            sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
+        yield int(sample.candidates[sample_categorical(sample.probs, stream)]), sample
 
 
 def perturb_document(
@@ -348,14 +329,8 @@ def perturb_document(
 
     Token i of copy j draws from the child stream keyed (j, i), so copies
     are replayable and order-independent, and each equals
-    ``perturb_token(origin, table, cfg, rng.child(j, i))``. That lets every
-    draw of one origin share one distance query, dropped once they are done:
-
-    * rantext draws each stream's noise first (its first use, as in
-      ``perturb_token``), makes one ``EmbeddingTable.within`` query at the
-      largest noise norm, and cuts every draw's adjacency from it;
-    * topk and global build the origin's one fixed adjacency from its full
-      distance row and score it once.
+    ``perturb_token(origin, table, cfg, rng.child(j, i))``. Every draw of one
+    origin runs in one ``_perturb_origin`` call, on one distance query.
     """
     if n_docs < 1:
         raise ContractError(f"n_docs must be >= 1, got {n_docs}")
@@ -365,22 +340,11 @@ def perturb_document(
     perturbed = [[0] * len(doc) for _ in range(n_docs)]
     sizes = [[0] * len(doc) for _ in range(n_docs)]
     for origin, where in positions.items():
-        draws = [(j, i, rng.child(j + 1, i)) for j in range(n_docs) for i in where]
-        vec = table.vector(origin)
-        if cfg.kind == "rantext":
-            noises = [_adjacency_noise(table, cfg, stream) for _, _, stream in draws]
-            ids, d = table.within(vec, max(r for _, (r,) in noises))
-            origin_vec = vec.astype(np.float64)
-            samples = (
-                _radius_cut(origin, r, origin_vec + noise, ids, d)
-                for (noise,), (r,) in noises
-            )
-        else:
-            samples = itertools.repeat(
-                _fixed_adjacency(origin, table, cfg, table.distances_from(vec))
-            )
-        for (j, i, stream), sample in zip(draws, samples):
-            perturbed[j][i] = _sample_candidate(sample, table, cfg, stream)
+        draws = [(j, i) for j in range(n_docs) for i in where]
+        streams = [rng.child(j + 1, i) for j, i in draws]
+        tokens = _perturb_origin(origin, table, cfg, streams)
+        for (j, i), (token, sample) in zip(draws, tokens):
+            perturbed[j][i] = token
             sizes[j][i] = int(sample.candidates.size)
     return [
         PerturbedDocument(

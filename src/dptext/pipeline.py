@@ -271,7 +271,6 @@ def run_privinfer(
     max_concurrent: int = 4,
     sleep: Callable[[float], None] = time.sleep,
     run_id: str | None = None,
-    extra_config: dict | None = None,
 ) -> RunRecord:
     """Execute one private-inference run and return its record.
 
@@ -290,8 +289,6 @@ def run_privinfer(
         "n_docs": n_docs,
         "seed": rng.seed,
     }
-    if extra_config:
-        config.update(extra_config)
 
     timestamps: dict = {"started": _utc_now()}
     doc_ids = tokenize(document_text, vocab)

@@ -22,12 +22,7 @@ import numpy as np
 
 from .dpcore import Rng, exp_mechanism_probs
 from .errors import ContractError
-from .mechanisms import (
-    MechanismConfig,
-    _adjacency_noise,
-    adjacency_within_radius,
-    score_candidates,
-)
+from .mechanisms import MechanismConfig, _adjacency_noise, _radius_cut, score_candidates
 from .vocab import EmbeddingTable
 
 EM_RATIO_TOL = 1e-9
@@ -306,24 +301,21 @@ def check_document_privacy_monotonicity(
     direction = np.zeros(table.dim)
     direction[0] = 1.0
     for origin in range(len(table)):
-        dists = table.distances_from(table.vector(origin))
-        for radius in sorted(set(float(d) for d in dists)):
-            perturbed = table.vector(origin).astype(np.float64) + radius * direction
-            sample = adjacency_within_radius(origin, table, radius, perturbed, dists)
+        vec = table.vector(origin).astype(np.float64)
+        dists = table.distances_from(vec)
+        for radius in sorted(set(dists.tolist())):
+            sample = _radius_cut(origin, radius, vec + radius * direction, None, dists)
             scores = score_candidates(sample, table, cfg)
             probs = exp_mechanism_probs(scores, cfg.epsilon_em, 1.0)
-            cand_d = sample.distances
             sets_checked += 1
-            n = sample.candidates.size
-            for a in range(n):
-                for b in range(n):
-                    if cand_d[a] >= cand_d[b]:
-                        gap = max(
-                            scores[a] - scores[b], float(probs[a] - probs[b])
-                        )
-                        if gap > SCORE_ORDER_TOL:
-                            violations += 1
-                            worst = max(worst, gap)
+            # every pair (a, b) with a no nearer than b: a must not score higher
+            farther = sample.distances[:, None] >= sample.distances[None, :]
+            gap = np.maximum(
+                scores[:, None] - scores[None, :], probs[:, None] - probs[None, :]
+            )[farther]
+            bad = gap[gap > SCORE_ORDER_TOL]
+            violations += bad.size
+            worst = max(worst, float(bad.max(initial=0.0)))
     return VerificationResult(
         name=(
             "scoring-monotonicity-paper-final"

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+import dptext.mechanisms as mechanisms
 from dptext.attacks import (
     build_gpt_attack_prompt,
     embedding_inversion,
@@ -17,7 +18,7 @@ from dptext.attacks import (
 )
 from dptext.cli import main as cli_main
 from dptext.dpcore import Rng, exp_mechanism_probs, sample_categorical, sample_laplace_vector
-from dptext.mechanisms import MechanismConfig, perturb_token
+from dptext.mechanisms import MechanismConfig
 from dptext.metrics import coherence, diversity, levenshtein
 from dptext.pipeline import build_inference_prompt, build_restoration_prompt
 from dptext.vocab import EmbeddingTable
@@ -164,9 +165,8 @@ def _trend_privacy(table, nn_sets, kind, eps, seed, draws_per_origin):
     rng = Rng(seed)
     recovered = total = 0
     for origin in range(len(table)):
-        row = table.distances_from(table.vector(origin))
-        for d in range(draws_per_origin):
-            out, _ = perturb_token(origin, table, cfg, rng.child(origin, d), row)
+        streams = [rng.child(origin, d) for d in range(draws_per_origin)]
+        for out, _ in mechanisms._perturb_origin(origin, table, cfg, streams):
             total += 1
             if origin in nn_sets[out]:
                 recovered += 1

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dptext.mechanisms as mechanisms
-from dptext.dpcore import Rng
+import dptext.vocab as vocab_module
+from dptext.dpcore import Rng, exp_mechanism_probs, sample_categorical
 from dptext.errors import ContractError
 from dptext.mechanisms import (
     SCORING_MODES,
+    AdjacencySample,
     MechanismConfig,
     adjacency_within_radius,
     compute_random_adjacency,
@@ -53,6 +55,39 @@ def stable_topk_oracle(table, origin, k):
     others = [int(t) for t in np.argsort(d, kind="stable") if t != origin][: k - 1]
     radius = float(max(d[others])) if others else 0.0
     return sorted([origin] + others), radius
+
+
+def full_row_perturb_oracle(origin, table, cfg, rng):
+    """One rantext draw without range queries: the noise, the full
+    ``distances_from`` row cut at its norm, then scoring and sampling, all on
+    ``rng``. Returns the token and the adjacency size."""
+    (noise,), (radius,) = mechanisms._adjacency_noise(table, cfg, rng)
+    row = table.distances_from(table.vector(origin))
+    hit = np.nonzero(row <= radius)[0]
+    sample = AdjacencySample(
+        origin=origin, radius=float(radius),
+        perturbed_embedding=table.vector(origin).astype(float) + noise,
+        candidates=hit, distances=row[hit],
+    )
+    probs = exp_mechanism_probs(score_candidates(sample, table, cfg), cfg.epsilon_em, 1.0)
+    return int(hit[sample_categorical(probs, rng)]), hit.size
+
+
+def record_range_query_kernel_calls(monkeypatch, table):
+    """``record_kernel_calls`` restricted to the kernel calls that
+    ``EmbeddingTable.within`` makes (paper-final scoring calls it too)."""
+    measured = record_kernel_calls(monkeypatch, table)
+    within = EmbeddingTable.within
+    inside = []
+
+    def spy(self, vec, radius):
+        start = len(measured)
+        result = within(self, vec, radius)
+        inside.extend(measured[start:])
+        return result
+
+    monkeypatch.setattr(EmbeddingTable, "within", spy)
+    return inside
 
 
 class TestMechanismConfig:
@@ -104,6 +139,12 @@ class TestRandomAdjacency:
         sample = adjacency_within_radius(0, table, 3.0)
         assert sample.candidates.tolist() == [0, 1, 2]
 
+    def test_nan_radius_is_a_contract_error(self):
+        # an empty adjacency would break "the origin is always a candidate"
+        _, table = line_vocab_table([0.0, 1.0, 3.0])
+        with pytest.raises(ContractError, match="radius must be >= 0, got nan"):
+            adjacency_within_radius(0, table, float("nan"))
+
     def test_forced_radius_two_matches_brute_force(self):
         _, table = line_vocab_table([0.0, 1.0, 3.0])
         sample = adjacency_within_radius(0, table, 2.0)
@@ -153,20 +194,6 @@ class TestRandomAdjacency:
         _, table = line_vocab_table([0.0, 1.0])
         with pytest.raises(ContractError):
             compute_random_adjacency(0, table, MechanismConfig(kind="topk"), Rng(0))
-
-    def test_given_row_matches_scan(self):
-        _, table = line_vocab_table([0.0, 0.5, 1.5, 2.0, 7.0])
-        row = table.distances_from(table.vector(1))
-        for radius in (0.0, 0.4, 0.5, 1.5, 2.0, 3.3, 10.0):
-            given_row = adjacency_within_radius(1, table, radius, dists=row)
-            scanned = adjacency_within_radius(1, table, radius)
-            assert given_row.candidates.tolist() == scanned.candidates.tolist()
-            assert given_row.candidates.tolist() == brute_force_range_query(table, 1, radius)
-            assert given_row.distances.tolist() == scanned.distances.tolist()
-        for k in range(1, 6):
-            assert (topk_adjacency(1, table, k, dists=row).candidates.tolist()
-                    == topk_adjacency(1, table, k).candidates.tolist())
-        assert global_adjacency(1, table, dists=row).radius == global_adjacency(1, table).radius
 
     def test_distances_are_the_candidates_row_entries(self, rantext_cfg):
         _, table = line_vocab_table([0.0, 0.7, 1.9, 2.4, 5.0])
@@ -275,6 +302,15 @@ class TestScoreCandidates:
         scores = score_candidates(sample, table, cfg)
         assert scores == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
 
+    @pytest.mark.parametrize("noised", [[1.0, 2.0], [float("nan")]])
+    def test_paper_final_rejects_a_malformed_noised_embedding(self, noised):
+        # a 2-D point once broadcast against 1-D rows into silent scores
+        _, table = line_vocab_table([0.0, 1.0, 3.0])
+        cfg = MechanismConfig(scoring_mode="paper-final")
+        sample = adjacency_within_radius(0, table, 3.0, np.array(noised))
+        with pytest.raises(ContractError, match="vector has"):
+            score_candidates(sample, table, cfg)
+
     def test_paper_final_monotone_in_distance_from_noised_point(self):
         _, table = line_vocab_table([0.0, 0.5, 1.0, 2.0, 4.0])
         cfg = MechanismConfig(scoring_mode="paper-final")
@@ -304,15 +340,18 @@ class TestScoreCandidates:
 
     @pytest.mark.parametrize("dim", [1, 6, 256, 1536])
     def test_paper_final_blocked_distances_equal_one_shot(self, monkeypatch, dim):
+        # paper-final measures the candidates with the table's kernel; its
+        # distances must not depend on how the gathered rows are blocked
         rows = np.random.default_rng(dim).normal(size=(300, dim))
         table = EmbeddingTable.from_rows(rows)
         ids = np.sort(np.random.default_rng(1).choice(300, 257, replace=False))
         point = np.random.default_rng(2).normal(size=dim)
-        one_shot = np.sqrt(((table.rows[ids].astype(np.float64) - point) ** 2).sum(axis=1))
-        # one row per block, a few rows with a remainder, and the default
-        for block_bytes in (8 * dim, 8 * dim * 7, mechanisms._BLOCK_BYTES):
-            monkeypatch.setattr(mechanisms, "_BLOCK_BYTES", block_bytes)
-            got = mechanisms._distances_to(point, table, ids)
+        diff = table.rows[ids].astype(np.float64) - point
+        one_shot = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        # blocks of two rows (the kernel's least), seven rows, and the default
+        for block_bytes in (8 * dim, 8 * dim * 7, vocab_module._BLOCK_BYTES):
+            monkeypatch.setattr(vocab_module, "_BLOCK_BYTES", block_bytes)
+            got = table._distances(point, ids)
             assert got.tobytes() == one_shot.tobytes()
 
     def test_paper_final_memory_is_bounded(self):
@@ -321,11 +360,10 @@ class TestScoreCandidates:
         # float64 at once would take 8192 x 256 x 8 B = 16 MB per temporary
         table = unit_gaussian_table(size=8192, dim=256)
         cfg = MechanismConfig(kind="rantext", epsilon_em=1.0, scoring_mode="paper-final")
-        row = table.distances_from(table.vector(0))
-        perturb_token(0, table, cfg, Rng(8), row)
+        perturb_token(0, table, cfg, Rng(8))
         tracemalloc.start()
         try:
-            _, sample = perturb_token(0, table, cfg, Rng(8), row)
+            _, sample = perturb_token(0, table, cfg, Rng(8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,14 +390,15 @@ class TestPerturbToken:
             assert token == 0
 
     def test_epsilon_zero_uniform_over_candidates(self):
-        # fixed 4-candidate adjacency via the global kind on a 4-token layout
+        # fixed 4-candidate adjacency via the global kind on a 4-token layout,
+        # scored once; one stream serves every draw, one uniform each, as
+        # successive perturb_token calls on it would
         _, table = line_vocab_table([0.0, 1.0, 2.0, 3.0])
         cfg = MechanismConfig(kind="global", epsilon_em=0.0)
         rng = Rng(99)
         counts = np.zeros(4)
         n = 10**5
-        for _ in range(n):
-            token, _ = perturb_token(1, table, cfg, rng)
+        for token, _ in mechanisms._perturb_origin(1, table, cfg, [rng] * n):
             counts[token] += 1
         assert np.max(np.abs(counts / n - 0.25)) < 0.01
 
@@ -454,7 +493,7 @@ class TestPerturbDocument:
 
 
 class TestPrunedPerturbation:
-    """perturb_document's pruned range queries against perturb_token's full row."""
+    """perturb_document's pruned range queries against full-row replays."""
 
     DOC = TokenIdSeq(ids=(5, 900, 5, 4095, 17, 900, 2048, 5, 3333, 17, 1, 0))
 
@@ -462,9 +501,10 @@ class TestPrunedPerturbation:
         docs = perturb_document(doc, table, cfg, 3, Rng(seed))
         for j, copy in enumerate(docs, start=1):
             for i, origin in enumerate(doc):
-                token, sample = perturb_token(origin, table, cfg, Rng(seed).child(j, i))
+                stream = Rng(seed).child(j, i)
+                token, size = full_row_perturb_oracle(origin, table, cfg, stream)
                 assert token == copy.perturbed_ids[i]
-                assert sample.candidates.size == copy.adjacency_sizes[i]
+                assert size == copy.adjacency_sizes[i]
         return docs
 
     @pytest.mark.parametrize("mode", SCORING_MODES)
@@ -472,11 +512,12 @@ class TestPrunedPerturbation:
         table = clustered_table()
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.2,
                               laplace_sensitivity=1.0, scoring_mode=mode)
-        measured = record_kernel_calls(monkeypatch, table)
+        measured = record_range_query_kernel_calls(monkeypatch, table)
         perturb_document(self.DOC, table, cfg, 3, Rng(41))
         # per distinct origin: the pivots, then the kept rows
         origins = len(set(self.DOC))
         assert len(measured) == 2 * origins
+        assert measured[::2] == [64] * origins
         assert all(isinstance(n, int) and n < len(table) for n in measured[1::2])
         docs = self._assert_replays(self.DOC, table, cfg, 41)
         assert max(max(d.adjacency_sizes) for d in docs) > 1
@@ -486,7 +527,7 @@ class TestPrunedPerturbation:
         table = unit_gaussian_table()
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, scoring_mode=mode)
         doc = TokenIdSeq(ids=(3, 7, 3, 511, 0))
-        measured = record_kernel_calls(monkeypatch, table)
+        measured = record_range_query_kernel_calls(monkeypatch, table)
         perturb_document(doc, table, cfg, 3, Rng(43))
         assert measured == [64, "full row"] * len(set(doc))
         self._assert_replays(doc, table, cfg, 43)

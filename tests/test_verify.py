@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dptext.mechanisms as mechanisms
 from dptext.dpcore import Rng, exp_mechanism_probs
 from dptext.errors import ContractError
-from dptext.mechanisms import MechanismConfig, compute_random_adjacency
+from dptext.mechanisms import MechanismConfig
 from dptext.verify import (
     MC_BLOCK,
     _logsumexp_rows,
@@ -47,14 +48,16 @@ def em_dp_worst_oracle(matrix, epsilon):
 
 
 def membership_oracle(positions, origin, nearer, farther, eps_lap, trials, rng):
-    """The per-trial loop check_membership_monotonicity once ran: one
-    compute_random_adjacency call per trial. Returns (freq_nearer, freq_farther)."""
+    """The per-trial loop check_membership_monotonicity once ran: one noise
+    draw per trial, its adjacency the origin's full distance row cut at the
+    noise norm. Returns (freq_nearer, freq_farther)."""
     table = line_layout(positions)
     cfg = MechanismConfig(kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap)
     dists = table.distances_from(table.vector(origin))
     hits_near = hits_far = 0
     for _ in range(trials):
-        cands = compute_random_adjacency(origin, table, cfg, rng, dists).candidates.tolist()
+        _, (radius,) = mechanisms._adjacency_noise(table, cfg, rng)
+        cands = np.nonzero(dists <= radius)[0].tolist()
         hits_near += nearer in cands
         hits_far += farther in cands
     return hits_near / trials, hits_far / trials
@@ -62,7 +65,8 @@ def membership_oracle(positions, origin, nearer, farther, eps_lap, trials, rng):
 
 def support_oracle(vocab_size, eps_lap, trials, rng):
     """The per-trial loop check_full_support once ran, round-robin over
-    origins. Returns the observed (origin, target) matrix."""
+    origins, each trial's adjacency its origin's full distance row cut at one
+    noise norm. Returns the observed (origin, target) matrix."""
     table = line_layout(list(range(vocab_size)))
     cfg = MechanismConfig(
         kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap,
@@ -72,9 +76,37 @@ def support_oracle(vocab_size, eps_lap, trials, rng):
     observed = np.zeros((vocab_size, vocab_size), dtype=bool)
     for t in range(trials):
         origin = t % vocab_size
-        sample = compute_random_adjacency(origin, table, cfg, rng, rows[origin])
-        observed[origin, sample.candidates] = True
+        _, (radius,) = mechanisms._adjacency_noise(table, cfg, rng)
+        observed[origin, rows[origin] <= radius] = True
     return observed
+
+
+def monotonicity_oracle(table, cfg):
+    """The pairwise loop check_document_privacy_monotonicity once ran.
+    Returns (violations, worst, adjacency sets checked)."""
+    violations, worst, sets_checked = 0, 0.0, 0
+    direction = np.zeros(table.dim)
+    direction[0] = 1.0
+    for origin in range(len(table)):
+        vec = table.vector(origin).astype(np.float64)
+        dists = table.distances_from(vec)
+        for radius in sorted(set(float(d) for d in dists)):
+            hit = np.nonzero(dists <= radius)[0]
+            sample = mechanisms.AdjacencySample(
+                origin=origin, radius=radius, perturbed_embedding=vec + radius * direction,
+                candidates=hit, distances=dists[hit],
+            )
+            scores = mechanisms.score_candidates(sample, table, cfg)
+            probs = exp_mechanism_probs(scores, cfg.epsilon_em, 1.0)
+            sets_checked += 1
+            for a in range(hit.size):
+                for b in range(hit.size):
+                    if dists[hit[a]] >= dists[hit[b]]:
+                        gap = max(scores[a] - scores[b], float(probs[a] - probs[b]))
+                        if gap > 1e-12:
+                            violations += 1
+                            worst = max(worst, gap)
+    return violations, worst, sets_checked
 
 
 class TestCheckEmDp:
@@ -311,6 +343,22 @@ class TestCheckFullSupport:
 
 
 class TestCheckDocumentPrivacyMonotonicity:
+    @pytest.mark.parametrize("mode", ["def4-consistent", "paper-final"])
+    @pytest.mark.parametrize("table", [
+        line_layout((0.0, 1.0, 2.0, 5.0)),
+        line_layout((0.0, 0.0, 0.5, 3.0, 3.0, 7.5)),
+        grid_layout((0.0, 1.0, 2.0), (0.0, 1.5)),
+        grid_layout((0.0, 0.3, 2.5), (0.0, 0.7, 4.0)),
+    ], ids=["line4", "line6-ties", "grid3x2", "grid3x3"])
+    def test_equals_pairwise_loop(self, table, mode):
+        cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.0,
+                              scoring_mode=mode)
+        result = check_document_privacy_monotonicity(table, cfg)
+        violations, worst, sets_checked = monotonicity_oracle(table, cfg)
+        assert result.details["violations"] == violations
+        assert result.details["adjacency_sets_checked"] == sets_checked
+        assert result.worst_case == (worst if violations else 0.0)
+
     def test_one_d_fixture_no_violations(self):
         table = line_layout((0.0, 1.0, 2.0, 5.0))
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.0)
