@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -284,8 +285,8 @@ def cmd_metrics(cfg: AppConfig, args) -> int:
 
 
 def cmd_verify(cfg: AppConfig, args) -> int:
-    if args.epsilon is not None and args.epsilon < 0:
-        raise ConfigError(f"--epsilon must be >= 0, got {args.epsilon}")
+    if args.epsilon is not None and not 0 <= args.epsilon < math.inf:
+        raise ConfigError(f"--epsilon must be >= 0 and finite, got {args.epsilon}")
     seed = cfg.resolved_seed()
     epsilons = [args.epsilon] if args.epsilon is not None else None
     results = verify_mod.run_default_suite(

@@ -17,6 +17,7 @@ the exponential mechanism with sensitivity 1, and one candidate is sampled.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
@@ -31,7 +32,7 @@ from .dpcore import (
 )
 from .errors import ContractError
 from .fileio import atomic_write
-from .vocab import EmbeddingTable, TokenIdSeq, _k_smallest
+from .vocab import EmbeddingTable, TokenIdSeq
 
 KINDS = ("rantext", "topk", "global")
 SCORING_MODES = ("def4-consistent", "paper-final")
@@ -57,16 +58,16 @@ class MechanismConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.epsilon_em < 0:
-            raise ContractError(f"epsilon_em must be >= 0, got {self.epsilon_em}")
-        if self.epsilon_lap is not None and self.epsilon_lap <= 0:
+        if not 0 <= self.epsilon_em < math.inf:
+            raise ContractError(f"epsilon_em must be >= 0 and finite, got {self.epsilon_em}")
+        if self.epsilon_lap is not None and not self.epsilon_lap > 0:
             raise ContractError(f"epsilon_lap must be > 0, got {self.epsilon_lap}")
         if isinstance(self.laplace_sensitivity, str):
             if self.laplace_sensitivity != "auto":
                 raise ContractError(
                     "laplace_sensitivity must be 'auto' or a positive number"
                 )
-        elif self.laplace_sensitivity <= 0:
+        elif not self.laplace_sensitivity > 0:
             raise ContractError(
                 f"laplace_sensitivity must be positive, got {self.laplace_sensitivity}"
             )
@@ -220,18 +221,15 @@ def topk_adjacency(origin: int, table: EmbeddingTable, k: int) -> AdjacencySampl
     Ties break by smaller token id; the origin itself is always a member,
     even when another token shares its embedding.
     """
-    k = min(k, len(table))
-    d = table.distances_from(table.vector(origin))
+    vec = table.vector(origin).astype(np.float64)
     # the origin ranks first; the k-th smallest key is the farthest member
-    key = d.copy()
-    key[origin] = -1.0
-    candidates, kth = _k_smallest(key, k)
+    candidates, d, kth = table._nearest(vec, min(k, len(table)), first=origin)
     return AdjacencySample(
         origin=origin,
         radius=max(kth, 0.0),
-        perturbed_embedding=table.vector(origin).astype(np.float64),
+        perturbed_embedding=vec,
         candidates=candidates,
-        distances=d[candidates],
+        distances=d,
     )
 
 

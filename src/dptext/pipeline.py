@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -86,10 +87,10 @@ class LlmEndpointConfig:
     max_concurrent: int = 4
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ContractError(f"temperature must be >= 0, got {self.temperature}")
-        if self.timeout_s <= 0:
-            raise ContractError(f"timeout must be > 0, got {self.timeout_s}")
+        if not 0 <= self.temperature < math.inf:
+            raise ContractError(f"temperature must be >= 0 and finite, got {self.temperature}")
+        if not 0 < self.timeout_s < math.inf:
+            raise ContractError(f"timeout must be > 0 and finite, got {self.timeout_s}")
         if self.max_output_tokens < 1:
             raise ContractError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         if self.max_concurrent < 1:
@@ -281,6 +282,8 @@ def run_privinfer(
     """
     if n_docs < 1:
         raise ContractError(f"n_docs must be >= 1, got {n_docs}")
+    if max_concurrent < 1:
+        raise ContractError(f"max_concurrent must be >= 1, got {max_concurrent}")
     if run_id is None:
         digest = hashlib.sha256(document_text.encode("utf-8")).hexdigest()[:12]
         run_id = f"run-{rng.seed:016x}-{digest}"

@@ -39,10 +39,6 @@ MERGES_MAGIC = "DPTEXT-MERGES v1"
 # bytes of one float64 block of rows in the distance kernel: small enough to
 # stay in cache, large enough that the per-block overhead is noise
 _BLOCK_BYTES = 1 << 18
-# the range-query index: at most this many pivot rows, picked by a fixed seed
-# so the index, like the table, is a function of the rows alone
-_INDEX_PIVOTS = 64
-_INDEX_SEED = 20231
 
 
 @dataclass(frozen=True)
@@ -102,30 +98,20 @@ class TokenIdSeq:
 
 
 @dataclass(frozen=True)
-class _PivotIndex:
-    """An exact metric partition of a table's rows: cluster k holds the ascending
-    ids ``members[k]``, all within the covering radius ``radii[k]`` of the
-    pivot row ``pivots[k]``."""
-
-    pivots: np.ndarray
-    members: tuple[np.ndarray, ...]
-    radii: np.ndarray
-
-
-@dataclass(frozen=True)
 class EmbeddingTable:
     """One dense float32 vector per vocabulary token, indexed by token id.
 
     ``per_dim_range[k]`` is max - min of coordinate k over the table,
     computed once at construction; it feeds the default Laplace sensitivity.
-    The pivot index behind ``within`` is built on the first query. Threads
-    racing on that first build each build the same index from the same rows,
-    and whichever stores it last wins, so concurrent readers stay safe.
+    Half of each row's squared norm and the largest row norm are computed
+    then too; they feed the screen that every distance query but
+    ``distances_from`` starts with.
     """
 
     rows: np.ndarray
     per_dim_range: np.ndarray
-    _index: _PivotIndex | None = field(default=None, init=False, repr=False, compare=False)
+    _half_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _max_norm: float = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows) -> "EmbeddingTable":
@@ -139,10 +125,13 @@ class EmbeddingTable:
         arr.setflags(write=False)
         rng = (arr.max(axis=0) - arr.min(axis=0)).astype(np.float64)
         rng.setflags(write=False)
+        half_sq = 0.5 * np.einsum("ij,ij->i", arr, arr, dtype=np.float64)
+        half_sq.setflags(write=False)
         table = cls.__new__(cls)
         object.__setattr__(table, "rows", arr)
         object.__setattr__(table, "per_dim_range", rng)
-        object.__setattr__(table, "_index", None)
+        object.__setattr__(table, "_half_sq", half_sq)
+        object.__setattr__(table, "_max_norm", float(np.sqrt(2 * half_sq.max())))
         return table
 
     def __len__(self) -> int:
@@ -169,30 +158,17 @@ class EmbeddingTable:
         distances: exactly ``ids = np.nonzero(d <= radius)[0]`` and ``d[ids]``
         for ``d = distances_from(vec)``, bit for bit.
 
-        A pivot index skips every cluster that the triangle inequality puts
-        beyond the radius; the rest are gathered in id order and measured with
-        ``distances_from``'s kernel. When no cluster can be skipped, the query
-        is the full row.
+        The screen keeps every row it cannot rule out, and only those are
+        measured, with ``distances_from``'s kernel.
         """
         v = self._query(vec)
         if not radius >= 0:
             raise ContractError(f"radius must be >= 0, got {radius}")
-        index = self._index
-        if index is None:
-            index = self._build_index()
-            object.__setattr__(self, "_index", index)
-        to_pivot = self._distances(v, index.pivots)
-        # every row of cluster k is at least to_pivot - radii[k] away; the
-        # slack covers the rounding of the three computed distances, whose
-        # relative error stays below D * 2**-53, 1e-12 at D = 10,000
-        slack = 1e-9 * (radius + to_pivot + index.radii) + 1e-9
-        keep = np.nonzero(to_pivot - index.radii <= radius + slack)[0]
-        kept = [index.members[k] for k in keep]
-        if sum(m.size for m in kept) == len(self):
-            d = self._distances(v)
-            ids = np.nonzero(d <= radius)[0]
-            return ids, d[ids]
-        ids = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *kept]))
+        screen, bound = self._screen(v)
+        # |v - r|² <= R² is r.v - |r|²/2 >= (|v|² - R²)/2; a NaN floor, which
+        # only an infinite bound gives, keeps every row
+        floor = 0.5 * (v @ v - radius * radius) - bound
+        ids = np.nonzero(~(screen < floor))[0]
         d = self._distances(v, ids)
         hit = d <= radius
         return ids[hit], d[hit]
@@ -236,45 +212,54 @@ class EmbeddingTable:
         np.sqrt(out, out=out)
         return out[:1] if lone else out
 
-    def _build_index(self) -> _PivotIndex:
-        """Partition the rows around ``_INDEX_PIVOTS`` pivot rows.
+    def _screen(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """``r.v - |r|²/2`` for every row r, by one float32 pass, and a bound
+        on its error that holds for every row: a row is nearer to ``v`` the
+        larger its value, since ``|v - r|² = |v|² - 2(r.v - |r|²/2)``."""
+        # Let u = 2**-24, D the dimension and s = (|v| + max|r|)**2. A float32
+        # sum of D products errs by at most γ_D = Du/(1 - Du) times the sum of
+        # their magnitudes, in any order, FMA or not (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2002, §3.1). So for D < 2**22,
+        # casting v to float32 moves r.v by at most u|r||v|, the dot product
+        # adds γ_D|r||v|(1 + u), and subtracting the float64 half-norm (off by
+        # D·2**-53·|r|²/2) with rounding to float32 adds u(|r.v| + |r|²/2)(1 +
+        # γ_D): under (D + 4)·u·s in all. The float64 kernel and thresholds,
+        # even rounded to float32, add under 2u·s, so (D + 8)·2**-23·s holds
+        # twice over; (D + 8)·2**-149 covers products that underflow to
+        # subnormals. Below s = 2**120 no float32 value overflows.
+        scale = (np.linalg.norm(v) + self._max_norm) ** 2
+        if not scale < 2.0**120:
+            return np.zeros(len(self), dtype=np.float32), np.inf
+        screen = self.rows @ v.astype(np.float32)
+        screen -= self._half_sq
+        return screen, (self.dim + 8) * (2.0**-23 * scale + 2.0**-149)
 
-        Each row joins its nearest pivot by a float32 GEMM over blocks of rows;
-        rounding may send a row to a pivot that is not quite the nearest, which
-        costs pruning, never correctness, since each covering radius is the
-        kernel's own largest distance from the pivot to its members.
+    def _nearest(
+        self, v: np.ndarray, k: int, first: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """The k nearest rows to ``v`` as ``_k_smallest`` picks them from the
+        full distance row, with row ``first``, when given, ranked first (it
+        must equal ``v``): their ascending ids, their distances and the k-th
+        smallest key.
+
+        Every row within the k-th nearest distance screens at least the k-th
+        largest screen value minus twice the bound; only those are measured.
         """
-        size, dim = self.rows.shape
-        count = min(_INDEX_PIVOTS, size)
-        pivots = np.sort(
-            np.random.default_rng(_INDEX_SEED).choice(size, count, replace=False)
-        )
-        centres = self.rows[pivots]
-        # argmin of |x - c|^2 = argmax of x.c - |c|^2 / 2
-        half_sq = 0.5 * np.einsum("ij,ij->i", centres, centres)
-        assign = np.empty(size, dtype=np.intp)
-        n = max(1, _BLOCK_BYTES // (4 * max(dim, count)))
-        for start in range(0, size, n):
-            scores = self.rows[start : start + n] @ centres.T
-            scores -= half_sq
-            assign[start : start + n] = scores.argmax(axis=1)
-        order = np.argsort(assign, kind="stable")
-        bounds = np.searchsorted(assign[order], np.arange(count + 1))
-        members = tuple(order[bounds[k] : bounds[k + 1]] for k in range(count))
-        radii = np.array([
-            self._distances(self.rows[p].astype(np.float64), m).max(initial=0.0)
-            for p, m in zip(pivots, members)
-        ])
-        return _PivotIndex(pivots=pivots, members=members, radii=radii)
+        screen, bound = self._screen(v)
+        kth = np.partition(screen, len(self) - k)[len(self) - k]
+        ids = np.nonzero(screen >= np.float64(kth) - 2 * bound)[0]
+        d = self._distances(v, ids)
+        key = d if first is None else np.where(ids == first, -1.0, d)
+        pick, kth = _k_smallest(key, k)
+        return ids[pick], d[pick], kth
 
     def nearest(self, vec, k: int) -> np.ndarray:
         """Ids of the k nearest tokens to ``vec``, nearest first; ties broken
         by smaller id."""
         if not 1 <= k <= len(self):
             raise ContractError(f"k must be in [1, {len(self)}], got {k}")
-        d = self.distances_from(vec)
-        ids, _ = _k_smallest(d, k)
-        return ids[np.argsort(d[ids], kind="stable")]
+        ids, d, _ = self._nearest(self._query(vec), k)
+        return ids[np.argsort(d, kind="stable")]
 
 
 def _k_smallest(key: np.ndarray, k: int) -> tuple[np.ndarray, float]:

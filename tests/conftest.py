@@ -28,7 +28,8 @@ def line_vocab_table(positions):
 
 
 def clustered_table(seed=3, size=4096, dim=32, clusters=8):
-    """Well-separated Gaussian clusters: a table the pivot index can prune."""
+    """Well-separated Gaussian clusters: a table on which a range query at a
+    cluster's scale keeps far fewer rows than the table holds."""
     rng = np.random.default_rng(seed)
     centres = rng.normal(scale=20.0, size=(clusters, dim))
     rows = centres[rng.integers(0, clusters, size)] + rng.normal(size=(size, dim))
@@ -36,16 +37,15 @@ def clustered_table(seed=3, size=4096, dim=32, clusters=8):
 
 
 def unit_gaussian_table(seed=4, size=512, dim=256):
-    """Unit-norm Gaussian rows: all about sqrt(2) apart, nothing prunes."""
+    """Unit-norm Gaussian rows: all about sqrt(2) apart, so a rantext radius
+    takes in every row."""
     rows = np.random.default_rng(seed).normal(size=(size, dim))
     return EmbeddingTable.from_rows(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
-def record_kernel_calls(monkeypatch, table):
-    """Build ``table``'s range-query index, then record what each later call
-    of the distance kernel measures: the number of rows gathered, or
-    ``"full row"``."""
-    table.within(table.vector(0), 0.0)
+def record_kernel_calls(monkeypatch):
+    """Record what each call of the distance kernel measures from now on: the
+    number of rows gathered, or ``"full row"``."""
     measured = []
     kernel = EmbeddingTable._distances
 

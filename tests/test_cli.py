@@ -474,6 +474,11 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--epsilon", -1]) == 2
         assert "--epsilon must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_epsilon_is_config_error(self, capsys, eps):
+        assert run_cli(["verify", "--epsilon", eps]) == 2
+        assert capsys.readouterr().err.startswith("error: --epsilon must be >= 0 and finite")
+
     def test_small_epsilon_bound(self, capsys):
         code = run_cli([
             "--seed", 3, "--quiet", "verify", "--epsilon", 0.01,

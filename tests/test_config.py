@@ -101,6 +101,13 @@ class TestLoadAppConfig:
         with pytest.raises(ConfigError, match="epsilon_em"):
             load_app_config(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_epsilon_is_config_error(self, tmp_path, raw):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[mechanism]\nepsilon_em = {raw}\n")
+        with pytest.raises(ConfigError, match=r"^\[mechanism\] epsilon_em"):
+            load_app_config(path)
+
     def test_invalid_mechanism_value_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[mechanism]\nkind = quantum\n")

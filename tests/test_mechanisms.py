@@ -73,10 +73,10 @@ def full_row_perturb_oracle(origin, table, cfg, rng):
     return int(hit[sample_categorical(probs, rng)]), hit.size
 
 
-def record_range_query_kernel_calls(monkeypatch, table):
+def record_range_query_kernel_calls(monkeypatch):
     """``record_kernel_calls`` restricted to the kernel calls that
     ``EmbeddingTable.within`` makes (paper-final scoring calls it too)."""
-    measured = record_kernel_calls(monkeypatch, table)
+    measured = record_kernel_calls(monkeypatch)
     within = EmbeddingTable.within
     inside = []
 
@@ -94,6 +94,14 @@ class TestMechanismConfig:
     def test_kind_validation(self):
         with pytest.raises(ContractError):
             MechanismConfig(kind="unknown")
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon_em", float("nan")), ("epsilon_em", float("inf")),
+        ("epsilon_lap", float("nan")), ("laplace_sensitivity", float("nan")),
+    ])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            MechanismConfig(**{field: value})
 
     def test_epsilon_lap_defaults_to_epsilon_em(self):
         cfg = MechanismConfig(kind="rantext", epsilon_em=3.0)
@@ -462,24 +470,23 @@ class TestPerturbDocument:
         MechanismConfig(kind="global", epsilon_em=2.0),
     ], ids=lambda c: c.kind)
     def test_one_distance_row_per_distinct_origin(self, monkeypatch, cfg):
-        # rantext makes one range query per distinct origin, and no full row;
-        # topk and global compute one full row each, and no range query
+        # per distinct origin, rantext makes one range query, topk one
+        # k-nearest query and global one full row, and nothing else
         _, table = line_vocab_table([0.0, 0.5, 1.0, 2.0, 4.0])
-        calls = {"within": [], "distances_from": []}
+        calls = {"within": [], "_nearest": [], "distances_from": []}
         for name in calls:
             method = getattr(EmbeddingTable, name)
 
-            def counted(self, vec, *args, _name=name, _method=method):
+            def counted(self, vec, *args, _name=name, _method=method, **kwargs):
                 calls[_name].append(float(vec[0]))
-                return _method(self, vec, *args)
+                return _method(self, vec, *args, **kwargs)
 
             monkeypatch.setattr(EmbeddingTable, name, counted)
         doc = TokenIdSeq(ids=(3, 0, 3, 1, 0, 3, 2))
         perturb_document(doc, table, cfg, 3, Rng(5))
-        query = "within" if cfg.kind == "rantext" else "distances_from"
-        other = "distances_from" if cfg.kind == "rantext" else "within"
-        assert sorted(calls[query]) == [0.0, 0.5, 1.0, 2.0]
-        assert calls[other] == []
+        query = {"rantext": "within", "topk": "_nearest", "global": "distances_from"}
+        assert sorted(calls.pop(query[cfg.kind])) == [0.0, 0.5, 1.0, 2.0]
+        assert all(made == [] for made in calls.values())
 
     def test_order_independence_of_token_streams(self, rantext_cfg):
         # token i of copy j depends only on (seed, j, i), not on processing order
@@ -493,7 +500,7 @@ class TestPerturbDocument:
 
 
 class TestPrunedPerturbation:
-    """perturb_document's pruned range queries against full-row replays."""
+    """perturb_document's screened range queries against full-row replays."""
 
     DOC = TokenIdSeq(ids=(5, 900, 5, 4095, 17, 900, 2048, 5, 3333, 17, 1, 0))
 
@@ -512,13 +519,11 @@ class TestPrunedPerturbation:
         table = clustered_table()
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.2,
                               laplace_sensitivity=1.0, scoring_mode=mode)
-        measured = record_range_query_kernel_calls(monkeypatch, table)
+        measured = record_range_query_kernel_calls(monkeypatch)
         perturb_document(self.DOC, table, cfg, 3, Rng(41))
-        # per distinct origin: the pivots, then the kept rows
-        origins = len(set(self.DOC))
-        assert len(measured) == 2 * origins
-        assert measured[::2] == [64] * origins
-        assert all(isinstance(n, int) and n < len(table) for n in measured[1::2])
+        # per distinct origin, one measurement of the rows its screen keeps
+        assert len(measured) == len(set(self.DOC))
+        assert all(isinstance(n, int) and n < len(table) // 4 for n in measured)
         docs = self._assert_replays(self.DOC, table, cfg, 41)
         assert max(max(d.adjacency_sizes) for d in docs) > 1
 
@@ -527,9 +532,10 @@ class TestPrunedPerturbation:
         table = unit_gaussian_table()
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, scoring_mode=mode)
         doc = TokenIdSeq(ids=(3, 7, 3, 511, 0))
-        measured = record_range_query_kernel_calls(monkeypatch, table)
+        measured = record_range_query_kernel_calls(monkeypatch)
         perturb_document(doc, table, cfg, 3, Rng(43))
-        assert measured == [64, "full row"] * len(set(doc))
+        # every row is within the radius, so the screen keeps them all
+        assert measured == [len(table)] * len(set(doc))
         self._assert_replays(doc, table, cfg, 43)
 
     def test_concurrent_first_queries_agree(self):

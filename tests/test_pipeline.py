@@ -180,6 +180,12 @@ class TestHttpLlmClient:
         with pytest.raises(ContractError):
             LlmEndpointConfig(base_url="u", model_name="m", timeout_s=0)
 
+    @pytest.mark.parametrize("field", ["temperature", "timeout_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_endpoint_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ContractError):
+            LlmEndpointConfig(base_url="u", model_name="m", **{field: value})
+
 
 class TestRunPrivinfer:
     def _setup(self):
@@ -289,6 +295,15 @@ class TestRunPrivinfer:
             run_privinfer(
                 "t0", vocab, table, cfg, 0,
                 MockLlmClient(echo=True), MockLlmClient(default="r"), Rng(0),
+            )
+
+    def test_max_concurrent_contract(self):
+        vocab, table, cfg = self._setup()
+        with pytest.raises(ContractError, match="max_concurrent"):
+            run_privinfer(
+                "t0", vocab, table, cfg, 2,
+                MockLlmClient(echo=True), MockLlmClient(default="r"), Rng(0),
+                max_concurrent=0,
             )
 
 

@@ -1,6 +1,9 @@
 import base64
+import os
+import subprocess
+import sys
 import tracemalloc
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from dptext.errors import (
     VocabIntegrityError,
     VocabParseError,
 )
+from dptext.mechanisms import topk_adjacency
 from dptext.vocab import (
     _BLOCK_BYTES,
     EmbeddingTable,
@@ -39,6 +43,8 @@ from .conftest import (
     write_merges_file,
     write_vocab_file,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def bpe_pieces_oracle(data: bytes, ranks) -> list[bytes]:
@@ -514,12 +520,10 @@ class TestWithin:
                 min_size=1, max_size=90,
             )
         ),
-        st.integers(1, 5),
         st.data(),
     )
-    def test_equals_full_row_cut(self, rows, pivots, data):
-        # small integer grids: exact distances, many ties and duplicate rows;
-        # a few pivots give clusters of many rows, the default one row each
+    def test_equals_full_row_cut(self, rows, data):
+        # small integer grids: exact distances, many ties and duplicate rows
         table = EmbeddingTable.from_rows(rows)
         dim = table.dim
         if data.draw(st.booleans(), label="row query"):
@@ -528,16 +532,14 @@ class TestWithin:
             coords = st.integers(-2, 5).map(lambda c: c / 2)
             vec = np.array(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
         full = table.distances_from(vec)
-        n_pivots = data.draw(st.sampled_from([pivots, vocab_module._INDEX_PIVOTS]))
-        with mock.patch.object(vocab_module, "_INDEX_PIVOTS", n_pivots):
-            radii = [0.0, float(full.max()), float(full.max()) + 1.0,
-                     data.draw(st.sampled_from(full.tolist()), label="tie radius"),
-                     data.draw(st.floats(0.0, 6.0), label="radius")]
-            for radius in radii:
-                ids, d = table.within(vec, radius)
-                want = np.nonzero(full <= radius)[0]
-                assert np.array_equal(ids, want)
-                assert np.array_equal(d, full[want])
+        radii = [0.0, float(full.max()), float(full.max()) + 1.0,
+                 data.draw(st.sampled_from(full.tolist()), label="tie radius"),
+                 data.draw(st.floats(0.0, 6.0), label="radius")]
+        for radius in radii:
+            ids, d = table.within(vec, radius)
+            want = np.nonzero(full <= radius)[0]
+            assert np.array_equal(ids, want)
+            assert np.array_equal(d, full[want])
 
     @pytest.mark.parametrize("rows", [[[1.5, -2.0]], [[0.0, 0.0], [3.0, 4.0]]])
     def test_one_and_two_row_tables(self, rows):
@@ -566,41 +568,32 @@ class TestWithin:
 
     def test_clustered_table_prunes_and_stays_exact(self, monkeypatch):
         table = clustered_table()
-        measured = record_kernel_calls(monkeypatch, table)
+        measured = record_kernel_calls(monkeypatch)
         for origin in range(0, len(table), 97):
             vec = table.vector(origin)
             ids, d = table.within(vec, 6.0)
             want_ids, want_d = _full_row_cut(table, vec, 6.0)
             assert np.array_equal(ids, want_ids) and np.array_equal(d, want_d)
-        # each query gathers the pivots, then its kept rows; the oracle's are
+        # each query measures only the rows its screen keeps; the oracle's are
         # the only full rows
-        queries = measured[::3], measured[1::3], measured[2::3]
-        assert set(queries[0]) == {64} and set(queries[2]) == {"full row"}
-        assert all(isinstance(n, int) and n < len(table) // 4 for n in queries[1])
+        queries, oracles = measured[::2], measured[1::2]
+        assert set(oracles) == {"full row"}
+        assert all(isinstance(n, int) and n < len(table) // 4 for n in queries)
 
-    def test_index_is_built_once(self):
-        rows = np.random.default_rng(2).normal(size=(200, 8)).astype(np.float32)
-        table = EmbeddingTable.from_rows(rows)
-        assert table._index is None
-        table.within(table.vector(0), 1.0)
-        index = table._index
-        table.within(table.vector(5), 2.0)
-        assert table._index is index
-        assert index.pivots.size == 64
-        assert sorted(np.concatenate(index.members).tolist()) == list(range(200))
-        assert "_index" not in repr(table)
-
-    def test_build_memory_is_bounded(self):
+    def test_query_memory_is_bounded(self):
         rows = np.random.default_rng(1).normal(size=(40_000, 64)).astype(np.float32)
         table = EmbeddingTable.from_rows(rows)
+        vec = table.vector(17)
         tracemalloc.start()
         try:
-            table.within(table.vector(17), 0.0)
+            table.within(vec, 10.0)
+            table.nearest(vec, 250)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a |V| x 64 float64 temporary alone would be 20 MB
-        assert peak < 40 * len(table) + 4 * _BLOCK_BYTES
+        # the screen, its copy for the k-th value and its mask are O(|V|); a
+        # |V| x 64 float64 temporary alone would be 20 MB
+        assert peak < 12 * len(table) + 2 * _BLOCK_BYTES + 64 * 1024
 
     def test_contract(self):
         table = EmbeddingTable.from_rows([[0.0, 0.0], [3.0, 4.0]])
@@ -612,3 +605,162 @@ class TestWithin:
             table.within(np.zeros(2), -1.0)
         with pytest.raises(ContractError, match="radius"):
             table.within(np.zeros(2), float("nan"))
+
+
+def _full_row_nearest(table, vec, k, first=None):
+    """The k-nearest oracle: ``_k_smallest`` over the full distance row, with
+    row ``first`` forced first. Returns the ascending ids, their distances and
+    the k-th smallest key, as ``EmbeddingTable._nearest`` does."""
+    d = table.distances_from(vec)
+    key = d.copy()
+    if first is not None:
+        key[first] = -1.0
+    ids, kth = vocab_module._k_smallest(key, k)
+    return ids, d[ids], kth
+
+
+def _assert_queries_exact(table, vec, ks, radii, first=None):
+    v = np.asarray(vec, dtype=np.float64)
+    full = table.distances_from(v)
+    for radius in radii:
+        ids, d = table.within(v, radius)
+        want_ids, want_d = _full_row_cut(table, v, radius)
+        assert np.array_equal(ids, want_ids) and np.array_equal(d, want_d)
+    for k in ks:
+        want_ids, _, _ = _full_row_nearest(table, v, k)
+        want = want_ids[np.argsort(full[want_ids], kind="stable")]
+        assert table.nearest(v, k).tolist() == want.tolist()
+        if first is not None:
+            want_ids, want_d, want_kth = _full_row_nearest(table, v, k, first)
+            ids, d, kth = table._nearest(v, k, first)
+            assert np.array_equal(ids, want_ids) and np.array_equal(d, want_d)
+            assert kth == want_kth
+
+
+def _adversarial_table(case):
+    rng = np.random.default_rng(11)
+    grid = rng.integers(0, 4, size=(300, 3))  # ties and duplicate rows everywhere
+    if case == "grid":
+        return grid
+    if case == "offset-1e4":  # every distance is tiny against the norms
+        return 1e4 + rng.normal(size=(400, 16))
+    if case == "near-duplicates":  # distances below the screen's resolution
+        return rng.normal(size=64) + 1e-3 * rng.normal(size=(400, 64))
+    if case == "dim-1":
+        return rng.integers(0, 6, size=(200, 1))
+    if case == "dim-9000":  # a kept row may be the only one measured
+        rows = rng.normal(size=(6, 9000))
+        rows[4] = rows[1]
+        return rows
+    if case == "norms-1e17":  # near float32's range, still screened
+        return rng.normal(size=(200, 8)) * 1e17
+    if case == "norms-1e30":  # beyond it: the screen keeps every row
+        return rng.normal(size=(200, 8)) * 1e30
+    if case == "norms-1e-22":  # products underflow to float32 subnormals
+        return grid * 1e-22
+    raise AssertionError(case)
+
+
+ADVERSARIAL = ["grid", "offset-1e4", "near-duplicates", "dim-1", "dim-9000",
+               "norms-1e17", "norms-1e30", "norms-1e-22"]
+
+
+class TestScreenedQueries:
+    """``within``, ``nearest`` and ``_nearest`` keep only the rows their
+    float32 screen cannot rule out, yet equal the full-row oracles bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                min_size=1, max_size=60,
+            )
+        ),
+        st.integers(0, 10_000),
+        st.data(),
+    )
+    def test_k_nearest_equals_full_row_oracle_for_every_k(self, rows, offset, data):
+        table = EmbeddingTable.from_rows(np.asarray(rows) + offset)
+        origin = None
+        if data.draw(st.booleans(), label="row query"):
+            origin = data.draw(st.integers(0, len(rows) - 1), label="origin")
+            vec = table.vector(origin)
+        else:
+            coords = st.integers(-2, 5).map(lambda c: offset + c / 2)
+            vec = np.array(data.draw(st.lists(coords, min_size=table.dim,
+                                              max_size=table.dim)))
+        _assert_queries_exact(table, vec, range(1, len(table) + 1), [], first=origin)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2),
+                 min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_topk_adjacency_equals_full_row_oracle_for_every_k(self, rows, data):
+        table = EmbeddingTable.from_rows(rows)
+        origin = data.draw(st.integers(0, len(rows) - 1))
+        for k in range(1, len(table) + 1):
+            ids, d, kth = _full_row_nearest(table, table.vector(origin), k, origin)
+            sample = topk_adjacency(origin, table, k)
+            assert np.array_equal(sample.candidates, ids)
+            assert np.array_equal(sample.distances, d)
+            assert sample.radius == max(kth, 0.0)
+
+    def test_nearest_measures_no_full_row(self, monkeypatch):
+        table = clustered_table()
+        measured = record_kernel_calls(monkeypatch)
+        for origin in range(0, len(table), 409):
+            assert table.nearest(table.vector(origin), 20)[0] == origin
+        assert all(isinstance(n, int) and n < len(table) // 4 for n in measured)
+
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_adversarial_tables(self, case):
+        table = EmbeddingTable.from_rows(_adversarial_table(case))
+        rng = np.random.default_rng(5)
+        rows = table.rows.astype(np.float64)
+        spread = float(np.abs(rows - rows.mean(axis=0)).max())
+        for origin in rng.choice(len(table), size=min(4, len(table)), replace=False):
+            vec = rows[origin]
+            near = vec + rng.normal(scale=0.3 * spread, size=table.dim)
+            for query, first in ((vec, int(origin)), (near, None)):
+                full = table.distances_from(query)
+                # radii equal to kernel distances, so a row sits on each cut
+                radii = [*np.unique(full)[:: max(1, len(full) // 60)], float(full.max())]
+                ks = sorted({*range(1, min(40, len(table)) + 1), len(table) // 2,
+                             len(table)} - {0})
+                _assert_queries_exact(table, query, ks, radii, first)
+
+    @pytest.mark.parametrize("scale", [1e30, 1e200])
+    def test_query_beyond_float32_range(self, scale):
+        # the screen cannot hold such a query, so every row is measured; at
+        # 1e200 every distance and |v|² overflow to inf, and only an infinite
+        # radius takes the rows in
+        table = EmbeddingTable.from_rows(np.random.default_rng(2).normal(size=(50, 4)))
+        radii = [0.0, 2 * scale, np.inf]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_queries_exact(table, np.full(4, scale), [1, 25, 50], radii)
+
+    def test_blas_threads_do_not_change_results(self):
+        # the float32 screen may round differently with the BLAS thread count;
+        # the ids and distances it returns may not
+        code = (
+            "import hashlib, numpy as np; from dptext.vocab import EmbeddingTable\n"
+            "rows = np.random.default_rng(3).normal(size=(20000, 64)).astype(np.float32)\n"
+            "t = EmbeddingTable.from_rows(rows); h = hashlib.sha256()\n"
+            "for i in range(0, 20000, 2000):\n"
+            "    ids, d = t.within(t.vector(i), 9.5)\n"
+            "    n, nd, kth = t._nearest(t.vector(i).astype(float), 50, i)\n"
+            "    for a in (ids, d, n, nd, np.float64(kth)): h.update(a.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(SRC)}
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
