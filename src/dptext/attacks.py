@@ -157,35 +157,6 @@ def build_gpt_attack_prompt(tokens: Sequence[str]) -> str:
     return GPT_ATTACK_TEMPLATE.format(input_list=_render_token_list(tokens))
 
 
-def _strip_comments(text: str) -> str:
-    """Drop '#' comments to end of line, ignoring '#' inside double quotes."""
-    out: list[str] = []
-    in_string = False
-    escaped = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            out.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-            out.append(ch)
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 _JSON_ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "/": "/", "\\": "\\", '"': '"',
 }
@@ -232,59 +203,67 @@ def _parse_quoted_string(text: str, i: int) -> tuple[str, int]:
 
 
 def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
+    """Skip whitespace and '#' comments, each of which runs to its line's end."""
+    while i < len(text):
+        if text[i] == "#":
+            end = text.find("\n", i)
+            i = len(text) if end < 0 else end
+        elif text[i].isspace():
+            i += 1
+        else:
+            break
     return i
 
 
-def _parse_singleton_list_at(text: str, start: int) -> list[str] | None:
-    """Try to parse a list of singleton string lists starting at text[start]."""
-    i = start
-    if text[i] != "[":
-        return None
+def _parse_list(text: str, i: int, depth: int) -> tuple[list, int]:
+    """Parse a bracketed list starting at text[i]; returns (items, next).
+
+    Items are quoted strings and, above depth 1, lists parsed at depth - 1,
+    so nesting never recurses deeper than ``depth``. Whitespace and '#'
+    comments may separate any two tokens; commas between items are optional
+    and one may trail the last item.
+    """
+    if i >= len(text) or text[i] != "[":
+        raise ValueError("expected opening bracket")
+    items: list = []
     i = _skip_ws(text, i + 1)
-    items: list[str] = []
-    while i < len(text):
-        if text[i] == "]":
-            return items if items else None
-        if text[i] != "[":
-            return None
-        i = _skip_ws(text, i + 1)
-        try:
-            value, i = _parse_quoted_string(text, i)
-        except ValueError:
-            return None
+    while i < len(text) and text[i] != "]":
+        if text[i] == "[" and depth > 1:
+            item, i = _parse_list(text, i, depth - 1)
+        else:
+            item, i = _parse_quoted_string(text, i)
+        items.append(item)
         i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != "]":
-            return None
-        items.append(value)
-        i = _skip_ws(text, i + 1)
         if i < len(text) and text[i] == ",":
             i = _skip_ws(text, i + 1)
-    return None
+    if i >= len(text):
+        raise ValueError("unterminated list")
+    return items, i + 1
 
 
 def parse_gpt_attack_response(body: str, expected_count: int) -> list[str]:
     """Extract predictions from a token-recovery response.
 
-    Finds the first bracketed list of singleton lists (surrounding prose and
-    inline '#' comments are ignored) and requires exactly ``expected_count``
-    predictions.
+    Finds the first bracketed, non-empty list of one-string lists and
+    requires exactly ``expected_count`` predictions. Prose around the list
+    is not parsed; inside it, '#' comments count as whitespace.
     """
     if expected_count < 1:
         raise ContractError(f"expected_count must be >= 1, got {expected_count}")
-    stripped = _strip_comments(body)
-    for match_at in range(len(stripped)):
-        if stripped[match_at] != "[":
+    for match_at, ch in enumerate(body):
+        if ch != "[":
             continue
-        items = _parse_singleton_list_at(stripped, match_at)
-        if items is not None:
-            if len(items) != expected_count:
+        try:
+            rows, _ = _parse_list(body, match_at, 2)
+        except ValueError:
+            continue
+        if rows and all(isinstance(row, list) and len(row) == 1 for row in rows):
+            if len(rows) != expected_count:
                 raise AttackParseError(
-                    f"expected {expected_count} predictions, got {len(items)}",
+                    f"expected {expected_count} predictions, got {len(rows)}",
                     body=body,
                 )
-            return items
+            return [row[0] for row in rows]
     raise AttackParseError("no bracketed prediction list found", body=body)
 
 

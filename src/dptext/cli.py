@@ -68,14 +68,10 @@ class _WrongAnswerGptClient:
     """Mock recovery backend: answers the expected format with wrong tokens."""
 
     def generate(self, prompt: str) -> str:
-        marker = 'For the given list of "INPUTS":\n'
-        i = prompt.rindex(marker) + len(marker)  # at the list's "["
-        count = 0
-        # walk the quoted items: a token may hold a newline or '", "'
-        while prompt[i] != "]":
-            _, i = attacks_mod._parse_quoted_string(prompt, prompt.index('"', i))
-            count += 1
-        rows = ",\n".join('["\x00wrong\x00"]' for _ in range(count))
+        # the prompt's list starts where the template's placeholder does
+        start = attacks_mod.GPT_ATTACK_TEMPLATE.index("{input_list}")
+        tokens, _ = attacks_mod._parse_list(prompt, start, 1)
+        rows = ",\n".join('["\x00wrong\x00"]' for _ in tokens)
         return f"[\n{rows}\n]"
 
 
@@ -289,12 +285,7 @@ def cmd_verify(cfg: AppConfig, args) -> int:
         raise ConfigError(f"--epsilon must be >= 0 and finite, got {args.epsilon}")
     seed = cfg.resolved_seed()
     epsilons = [args.epsilon] if args.epsilon is not None else None
-    results = verify_mod.run_default_suite(
-        seed,
-        epsilons=epsilons,
-        membership_trials=args.membership_trials,
-        support_trials=args.support_trials,
-    )
+    results = verify_mod.run_default_suite(seed, epsilons=epsilons)
     _say(args, f"seed = {seed}")
     for r in results:
         suffix = " (informational)" if r.informational else ""
@@ -373,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--epsilon", type=float, default=None,
                    help="check the mechanism ratio bound at this epsilon only")
-    p.add_argument("--membership-trials", type=int,
-                   default=verify_mod.DEFAULT_MEMBERSHIP_TRIALS)
-    p.add_argument("--support-trials", type=int,
-                   default=verify_mod.DEFAULT_SUPPORT_TRIALS)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -84,6 +84,12 @@ def _score_matrix(score_table) -> np.ndarray:
     return matrix
 
 
+def _require_epsilon(epsilon: float) -> None:
+    # an infinite epsilon makes every log-probability ratio NaN
+    if not 0 <= epsilon < math.inf:
+        raise ContractError(f"epsilon must be >= 0 and finite, got {epsilon}")
+
+
 def check_em_dp(score_table, epsilon: float) -> VerificationResult:
     """Exact privacy-loss bound for the exponential mechanism.
 
@@ -94,8 +100,7 @@ def check_em_dp(score_table, epsilon: float) -> VerificationResult:
     matrix = _score_matrix(score_table)
     if np.any(matrix < 0) or np.any(matrix > 1):
         raise ContractError("scores must lie in [0, 1]")
-    if epsilon < 0:
-        raise ContractError(f"epsilon must be >= 0, got {epsilon}")
+    _require_epsilon(epsilon)
     z = epsilon * matrix / 2.0
     logp = z - _logsumexp_rows(z)
     n = matrix.shape[0]
@@ -337,29 +342,25 @@ def check_document_privacy_monotonicity(
 
 
 DEFAULT_EM_EPSILONS = (0.5, 1.0, 2.0, 6.0)
-DEFAULT_MEMBERSHIP_TRIALS = 50000
-DEFAULT_SUPPORT_TRIALS = 20000
 
 
 def run_default_suite(
-    seed: int,
-    epsilons: Sequence[float] | None = None,
-    membership_trials: int = DEFAULT_MEMBERSHIP_TRIALS,
-    support_trials: int = DEFAULT_SUPPORT_TRIALS,
+    seed: int, epsilons: Sequence[float] | None = None
 ) -> list[VerificationResult]:
     """Run every check on the built-in fixtures; returns one result each."""
     rng = Rng(seed)
     results: list[VerificationResult] = []
     for eps in epsilons if epsilons is not None else DEFAULT_EM_EPSILONS:
+        _require_epsilon(eps)  # before it keys the stream
         results.append(check_em_dp_random_tables(200, eps, rng.child(1, int(eps * 1000))))
     results.append(
         check_membership_monotonicity(
             (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2,
-            eps_lap=1.0, trials=membership_trials, rng=rng.child(2),
+            eps_lap=1.0, trials=50000, rng=rng.child(2),
         )
     )
     results.append(
-        check_full_support(5, eps_lap=1.0, trials=support_trials, rng=rng.child(3))
+        check_full_support(5, eps_lap=1.0, trials=20000, rng=rng.child(3))
     )
     fixture = line_layout((0.0, 1.0, 2.0, 5.0))
     results.append(

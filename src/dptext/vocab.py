@@ -97,7 +97,7 @@ class TokenIdSeq:
         return self.ids[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """One dense float32 vector per vocabulary token, indexed by token id.
 
@@ -105,17 +105,16 @@ class EmbeddingTable:
     computed once at construction; it feeds the default Laplace sensitivity.
     Half of each row's squared norm and the largest row norm are computed
     then too; they feed the screen that every distance query but
-    ``distances_from`` starts with.
+    ``distances_from`` starts with. Tables compare and hash by identity.
     """
 
     rows: np.ndarray
-    per_dim_range: np.ndarray
-    _half_sq: np.ndarray = field(init=False, repr=False, compare=False)
-    _max_norm: float = field(init=False, repr=False, compare=False)
+    per_dim_range: np.ndarray = field(init=False)
+    _half_sq: np.ndarray = field(init=False, repr=False)
+    _max_norm: float = field(init=False, repr=False)
 
-    @classmethod
-    def from_rows(cls, rows) -> "EmbeddingTable":
-        arr = np.asarray(rows, dtype=np.float32)
+    def __post_init__(self):
+        arr = np.asarray(self.rows, dtype=np.float32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmbeddingFormatError(
                 f"embedding rows must be a non-empty 2-D array, got shape {arr.shape}"
@@ -127,12 +126,14 @@ class EmbeddingTable:
         rng.setflags(write=False)
         half_sq = 0.5 * np.einsum("ij,ij->i", arr, arr, dtype=np.float64)
         half_sq.setflags(write=False)
-        table = cls.__new__(cls)
-        object.__setattr__(table, "rows", arr)
-        object.__setattr__(table, "per_dim_range", rng)
-        object.__setattr__(table, "_half_sq", half_sq)
-        object.__setattr__(table, "_max_norm", float(np.sqrt(2 * half_sq.max())))
-        return table
+        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "per_dim_range", rng)
+        object.__setattr__(self, "_half_sq", half_sq)
+        object.__setattr__(self, "_max_norm", float(np.sqrt(2 * half_sq.max())))
+
+    @classmethod
+    def from_rows(cls, rows) -> "EmbeddingTable":
+        return cls(rows)
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dptext.attacks import (
     AttackReport,
+    _render_token_list,
     build_gpt_attack_prompt,
     embedding_inversion,
     gpt_inference_attack,
@@ -20,6 +21,10 @@ from dptext.vocab import EmbeddingTable, TokenIdSeq
 from .conftest import line_vocab_table
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+# an answer's tokens; a '#' comment may stand in any gap between them
+EXAMPLE_PIECES = ["[", "[", '"a"', "]", ",", "[", '"b"', "]", ",", "]"]
+COMMENT = '# was "x" or "y [["z"]]\n'
 
 EXAMPLE_RESPONSE = (
     "[\n"
@@ -225,6 +230,44 @@ class TestParseGptAttackResponse:
         assert parse_gpt_attack_response(r'[["\q"], ["\u12"], ["\uzzzz"]]', 3) == [
             "q", "u12", "uzzzz",
         ]
+
+    def test_odd_quote_in_prose_leaves_comments_in_the_list(self):
+        body = 'Answer: 5" tall\n[["a"], # c\n["b"]]'
+        assert parse_gpt_attack_response(body, 2) == ["a", "b"]
+        assert parse_gpt_attack_response('He said "hi\n[["C#"]]', 1) == ["C#"]
+
+    def test_comments_in_every_gap_between_tokens(self):
+        body = COMMENT.join(EXAMPLE_PIECES)
+        assert parse_gpt_attack_response(body, 2) == ["a", "b"]
+
+    def test_commas_optional_and_one_may_trail_any_list(self):
+        assert parse_gpt_attack_response('[["a"] ["b"],]', 2) == ["a", "b"]
+        assert parse_gpt_attack_response('[["a",], ["b" , ]]', 2) == ["a", "b"]
+        with pytest.raises(AttackParseError):
+            parse_gpt_attack_response('[["a"],, ["b"]]', 2)
+        with pytest.raises(AttackParseError):
+            parse_gpt_attack_response('[, ["a"]]', 1)
+
+    def test_comment_to_end_of_body_leaves_list_unterminated(self):
+        with pytest.raises(AttackParseError, match="no bracketed"):
+            parse_gpt_attack_response('[["a"] # ]', 1)
+
+    def test_deep_brackets_are_a_parse_error_not_recursion(self):
+        with pytest.raises(AttackParseError, match="no bracketed"):
+            parse_gpt_attack_response("[" * 5000, 1)
+        body = "[" * 5000 + '"a"' + "]" * 5000
+        assert parse_gpt_attack_response(body, 1) == ["a"]
+
+    def test_list_inside_a_prose_comment_is_found_first(self):
+        # prose is not parsed, so a '#' there starts no comment
+        assert parse_gpt_attack_response('x # [["a"]]\n[["b"]]', 1) == ["a"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=st.lists(st.text(), min_size=1, max_size=8))
+    def test_round_trip_in_prompt_quoting_with_odd_quote_comments(self, tokens):
+        rows = "".join(f'{_render_token_list([t])}, # "{i}\n' for i, t in enumerate(tokens))
+        body = f'Guesses, 5" each:\n[\n{rows}]\nDone.'
+        assert parse_gpt_attack_response(body, len(tokens)) == tokens
 
     def test_round_trip_with_echo_predictions(self):
         tokens = ["alpha", "beta", 'ga"mma']

@@ -6,11 +6,17 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dptext
 import dptext.cli as cli
 import dptext.pipeline as pipeline
-from dptext.attacks import gpt_inference_attack
+from dptext.attacks import (
+    build_gpt_attack_prompt,
+    gpt_inference_attack,
+    parse_gpt_attack_response,
+)
 from dptext.cli import _WrongAnswerGptClient, main
 from dptext.mechanisms import read_perturbed_jsonl
 from dptext.metrics import levenshtein
@@ -278,6 +284,13 @@ class TestAttackCommand:
         report = gpt_inference_attack(tokens, tokens, _WrongAnswerGptClient())
         assert not report.failed and report.asr == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=st.lists(st.text(alphabet='#"]\\\n[, a'), min_size=1, max_size=8))
+    def test_wrong_answer_gpt_mock_answers_one_row_per_token(self, tokens):
+        answer = _WrongAnswerGptClient().generate(build_gpt_attack_prompt(tokens))
+        rows = parse_gpt_attack_response(answer, len(tokens))
+        assert rows == ["\x00wrong\x00"] * len(tokens)
+
     def test_mask_attack_requires_mock(self, corpus, tmp_path, capsys):
         vocab, emb, _ = corpus
         out = self._perturbed_file(corpus, tmp_path)
@@ -449,10 +462,7 @@ class TestMetricsCommand:
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
-        code = run_cli([
-            "--seed", 3, "--quiet", "verify",
-            "--membership-trials", 10000, "--support-trials", 20000,
-        ])
+        code = run_cli(["--seed", 3, "--quiet", "verify"])
         out = capsys.readouterr().out
         assert code == 0
         lines = [l for l in out.strip().splitlines() if " pass=" in l]
@@ -463,10 +473,7 @@ class TestVerifyCommand:
     def test_fixed_seed_reproduces_frequencies(self, capsys):
         outputs = []
         for _ in range(2):
-            run_cli([
-                "--seed", 12, "--quiet", "verify",
-                "--membership-trials", 10000, "--support-trials", 20000,
-            ])
+            run_cli(["--seed", 12, "--quiet", "verify"])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
@@ -480,10 +487,7 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: --epsilon must be >= 0 and finite")
 
     def test_small_epsilon_bound(self, capsys):
-        code = run_cli([
-            "--seed", 3, "--quiet", "verify", "--epsilon", 0.01,
-            "--membership-trials", 10000, "--support-trials", 20000,
-        ])
+        code = run_cli(["--seed", 3, "--quiet", "verify", "--epsilon", 0.01])
         assert code == 0
         out = capsys.readouterr().out
         em_line = next(l for l in out.splitlines() if "em-dp" in l)
@@ -505,8 +509,7 @@ class TestModuleEntryPoint:
         src = os.path.dirname(os.path.dirname(dptext.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "dptext", "--seed", "1", "--quiet", "verify",
-             "--epsilon", "1", "--membership-trials", "10000",
-             "--support-trials", "20000"],
+             "--epsilon", "1"],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=300,
         )

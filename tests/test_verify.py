@@ -143,6 +143,17 @@ class TestCheckEmDp:
         with pytest.raises(ContractError):
             check_em_dp([[1.5, 0.0]], epsilon=1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_contract(self, eps):
+        with pytest.raises(ContractError, match="finite"):
+            check_em_dp([[1.0, 0.0], [0.0, 1.0]], epsilon=eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_random_tables_non_finite_epsilon_contract(self, eps):
+        # at inf each table's worst case is NaN, and max(0.0, nan) would pass as 0
+        with pytest.raises(ContractError, match="finite"):
+            check_em_dp_random_tables(5, eps, Rng(1))
+
     def test_exact_and_rerunnable(self):
         table = [[0.2, 0.9, 0.4], [0.8, 0.1, 0.5]]
         a = check_em_dp(table, epsilon=2.0)
@@ -406,26 +417,31 @@ class TestCheckDocumentPrivacyMonotonicity:
 
 class TestDefaultSuite:
     def test_all_blocking_checks_pass(self):
-        results = run_default_suite(seed=11, membership_trials=10000)
+        results = run_default_suite(seed=11)
         blocking = [r for r in results if not r.informational]
         assert all(r.passed for r in blocking)
         assert suite_exit_code(results) == 0
 
     def test_informational_failure_does_not_affect_exit_code(self):
-        results = run_default_suite(seed=11, membership_trials=10000)
+        results = run_default_suite(seed=11)
         info = [r for r in results if r.informational]
         assert info and not info[0].passed
         assert suite_exit_code(results) == 0
 
     def test_deterministic_failure_sets_exit_code(self):
-        results = run_default_suite(seed=11, membership_trials=10000)
+        results = run_default_suite(seed=11)
         results[0].passed = False
         assert suite_exit_code(results) == 1
 
     def test_result_line_format(self):
-        results = run_default_suite(seed=11, membership_trials=10000)
+        results = run_default_suite(seed=11)
         line = results[0].line()
         assert " pass=" in line and " worst=" in line and " bound=" in line
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_contract(self, eps):
+        with pytest.raises(ContractError, match="finite"):
+            run_default_suite(1, epsilons=[eps])
 
     def test_never_touches_network(self, monkeypatch):
         import dptext.pipeline as pipeline
@@ -434,4 +450,4 @@ class TestDefaultSuite:
             raise AssertionError("verification must not call the network")
 
         monkeypatch.setattr(pipeline.requests, "post", boom)
-        run_default_suite(seed=1, membership_trials=10000)
+        run_default_suite(seed=1)

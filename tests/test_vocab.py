@@ -432,6 +432,28 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             table.rows[0] = 9.0
 
+    def test_constructor_validates_like_from_rows(self):
+        with pytest.raises(EmbeddingDataError):
+            EmbeddingTable(rows=np.array([[0.0], [np.nan]]))
+        with pytest.raises(EmbeddingFormatError):
+            EmbeddingTable(rows=np.zeros((0, 2)))
+
+    def test_constructor_takes_rows_only(self):
+        with pytest.raises(TypeError):
+            EmbeddingTable(rows=np.zeros((2, 1)), per_dim_range=np.ones(1))
+
+    def test_constructed_table_answers_queries(self):
+        table = EmbeddingTable(rows=[[0.0], [1.0], [3.0]])
+        assert table.nearest(np.array([2.9]), 2).tolist() == [2, 1]
+        assert table.per_dim_range.tolist() == [3.0]
+        assert table.rows.dtype == np.float32 and not table.rows.flags.writeable
+
+    def test_tables_compare_and_hash_by_identity(self):
+        a = EmbeddingTable.from_rows([[0.0], [1.0]])
+        b = EmbeddingTable.from_rows([[0.0], [1.0]])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestMerges:
     def test_load_merges_file(self, tmp_path):
