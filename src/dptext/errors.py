@@ -12,12 +12,6 @@ class ContractError(DpTextError):
 class VocabParseError(DpTextError):
     """A vocabulary or merges file is malformed."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class VocabIntegrityError(DpTextError):
     """A vocabulary file parses but breaks an invariant (duplicate or gap)."""

@@ -60,16 +60,19 @@ class MechanismConfig:
             raise ContractError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0 <= self.epsilon_em < math.inf:
             raise ContractError(f"epsilon_em must be >= 0 and finite, got {self.epsilon_em}")
-        if self.epsilon_lap is not None and not self.epsilon_lap > 0:
-            raise ContractError(f"epsilon_lap must be > 0, got {self.epsilon_lap}")
+        if self.epsilon_lap is not None and not 0 < self.epsilon_lap < math.inf:
+            raise ContractError(
+                f"epsilon_lap must be > 0 and finite, got {self.epsilon_lap}"
+            )
         if isinstance(self.laplace_sensitivity, str):
             if self.laplace_sensitivity != "auto":
                 raise ContractError(
                     "laplace_sensitivity must be 'auto' or a positive number"
                 )
-        elif not self.laplace_sensitivity > 0:
+        elif not 0 < self.laplace_sensitivity < math.inf:
             raise ContractError(
-                f"laplace_sensitivity must be positive, got {self.laplace_sensitivity}"
+                "laplace_sensitivity must be positive and finite, "
+                f"got {self.laplace_sensitivity}"
             )
         if self.scoring_mode not in SCORING_MODES:
             raise ContractError(

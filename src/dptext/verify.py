@@ -53,13 +53,13 @@ class VerificationResult:
 def line_layout(positions: Sequence[float]) -> EmbeddingTable:
     """1-D embedding layout fixture: token i sits at positions[i]."""
     cols = np.asarray(positions, dtype=np.float64).reshape(-1, 1)
-    return EmbeddingTable.from_rows(cols)
+    return EmbeddingTable(cols)
 
 
 def grid_layout(xs: Sequence[float], ys: Sequence[float]) -> EmbeddingTable:
     """2-D embedding layout fixture over the cross product of coordinates."""
     pts = [(x, y) for x in xs for y in ys]
-    return EmbeddingTable.from_rows(np.asarray(pts, dtype=np.float64))
+    return EmbeddingTable(np.asarray(pts, dtype=np.float64))
 
 
 def _score_matrix(score_table) -> np.ndarray:
@@ -98,7 +98,7 @@ def check_em_dp(score_table, epsilon: float) -> VerificationResult:
     does not exceed epsilon. Scores must lie in [0, 1] (sensitivity 1).
     """
     matrix = _score_matrix(score_table)
-    if np.any(matrix < 0) or np.any(matrix > 1):
+    if not np.all((matrix >= 0) & (matrix <= 1)):
         raise ContractError("scores must lie in [0, 1]")
     _require_epsilon(epsilon)
     z = epsilon * matrix / 2.0

@@ -17,8 +17,9 @@ across concurrent readers.
 from __future__ import annotations
 
 import base64
-import binascii
 import heapq
+import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,7 +106,8 @@ class EmbeddingTable:
     computed once at construction; it feeds the default Laplace sensitivity.
     Half of each row's squared norm and the largest row norm are computed
     then too; they feed the screen that every distance query but
-    ``distances_from`` starts with. Tables compare and hash by identity.
+    ``distances_from`` starts with. Tables compare and hash by identity. A
+    writable float32 array passed in is copied; a read-only one is kept.
     """
 
     rows: np.ndarray
@@ -115,6 +117,8 @@ class EmbeddingTable:
 
     def __post_init__(self):
         arr = np.asarray(self.rows, dtype=np.float32)
+        if arr is self.rows and arr.flags.writeable:
+            arr = arr.copy()  # the caller's array stays the caller's
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmbeddingFormatError(
                 f"embedding rows must be a non-empty 2-D array, got shape {arr.shape}"
@@ -130,10 +134,6 @@ class EmbeddingTable:
         object.__setattr__(self, "per_dim_range", rng)
         object.__setattr__(self, "_half_sq", half_sq)
         object.__setattr__(self, "_max_norm", float(np.sqrt(2 * half_sq.max())))
-
-    @classmethod
-    def from_rows(cls, rows) -> "EmbeddingTable":
-        return cls(rows)
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
@@ -281,64 +281,68 @@ def distance(a, b) -> float:
     return float(np.linalg.norm(av - bv))
 
 
-def _numbered_lines(fh):
-    """Yield (line number, line) for an open text file, without line endings.
+def _records(path, magic: str, n_header: int, n_fields: int, error, noun: str):
+    """Stream a line-record file: yield the ``n_header`` ints after ``magic``
+    on line 1, then ``(line number, fields)`` for each body line, split at
+    tabs into exactly ``n_fields`` fields.
 
-    Trailing blank lines are tolerated and dropped; blank lines followed by
-    content are yielded like any other line.
+    Before the first record the body lines are counted on the same handle and
+    checked against the header's first int, so a wrong count outranks a bad
+    line. Trailing blank lines are dropped; a blank line followed by content
+    is a record. Every error is an ``error``, and one about a line names it;
+    a byte that is not UTF-8 fails the field it is in. Memory beyond the
+    caller's is one line.
     """
-    blank: list[tuple[int, str]] = []
-    for line_no, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if line.strip() == "":
-            blank.append((line_no, line))
-            continue
-        yield from blank
-        blank.clear()
-        yield line_no, line
-
-
-def _read_lines(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line for _, line in _numbered_lines(fh)]
-
-
-def _parse_header(line: str, magic: str, n_fields: int) -> list[int]:
-    parts = line.split()
-    magic_parts = magic.split()
-    if parts[: len(magic_parts)] != magic_parts or len(parts) != len(magic_parts) + n_fields:
-        raise VocabParseError(f"expected header '{magic} ...', got {line!r}", line_no=1)
     try:
-        return [int(p) for p in parts[len(magic_parts):]]
-    except ValueError:
-        raise VocabParseError(f"non-integer header field in {line!r}", line_no=1) from None
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise error(f"cannot open {path}: {exc.strerror}") from None
+    with fh:
+        if not fh.seekable():
+            raise error(f"{path} is not seekable; its lines are counted before they are read")
+        line = fh.readline().rstrip("\n")
+        parts = line.split()
+        head = magic.split()
+        if parts[: len(head)] != head or len(parts) != len(head) + n_header:
+            raise error(f"line 1: expected header '{magic} ...', got {line!r}")
+        try:
+            header = [int(p) for p in parts[len(head) :]]
+        except ValueError:
+            raise error(f"line 1: non-integer header field in {line!r}") from None
+        yield header
+        n_body = 0  # the body ends at its last non-blank line
+        for i, line in enumerate(fh, start=1):
+            if not line.isspace():
+                n_body = i
+        if n_body != header[0]:
+            raise error(f"header declares {header[0]} {noun} but file has {n_body}")
+        fh.seek(0)
+        for line_no, line in enumerate(itertools.islice(fh, 1, n_body + 1), start=2):
+            line = line.rstrip("\n")
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise error(
+                    f"line {line_no}: expected {n_fields} tab-separated fields, got {line!r}"
+                )
+            yield line_no, fields
+
+
+def _b64(field: str) -> bytes:
+    return base64.b64decode(field, validate=True)
 
 
 def load_vocabulary(path, merges_path=None) -> Vocabulary:
     """Load a vocabulary file, optionally attaching BPE merge ranks."""
-    lines = _read_lines(path)
-    if not lines:
-        raise VocabParseError("empty vocabulary file", line_no=1)
-    (count,) = _parse_header(lines[0], VOCAB_MAGIC, 1)
-    body = lines[1:]
-    if len(body) != count:
-        raise VocabParseError(
-            f"header declares {count} entries but file has {len(body)}"
-        )
+    records = _records(path, VOCAB_MAGIC, 1, 2, VocabParseError, "entries")
+    (count,) = next(records)
     seen: dict[int, bytes] = {}
-    for line_no, line in enumerate(body, start=2):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise VocabParseError(
-                f"expected '<id>\\t<base64>', got {line!r}", line_no=line_no
-            )
+    for line_no, fields in records:
         try:
-            tid = int(parts[0])
-            tok = base64.b64decode(parts[1], validate=True)
-        except (ValueError, binascii.Error) as exc:
-            raise VocabParseError(str(exc), line_no=line_no) from None
+            tid, tok = int(fields[0]), _b64(fields[1])
+        except ValueError as exc:
+            raise VocabParseError(f"line {line_no}: {exc}") from None
         if tid < 0:
-            raise VocabParseError(f"negative token id {tid}", line_no=line_no)
+            raise VocabParseError(f"line {line_no}: negative token id {tid}")
         if tid in seen:
             raise VocabIntegrityError(f"duplicate token id {tid}")
         seen[tid] = tok
@@ -354,26 +358,14 @@ def load_vocabulary(path, merges_path=None) -> Vocabulary:
 
 def load_merges(path) -> dict[tuple[bytes, bytes], int]:
     """Load a BPE merges file into a (left, right) -> rank mapping."""
-    lines = _read_lines(path)
-    if not lines:
-        raise VocabParseError("empty merges file", line_no=1)
-    (count,) = _parse_header(lines[0], MERGES_MAGIC, 1)
-    body = lines[1:]
-    if len(body) != count:
-        raise VocabParseError(f"header declares {count} merges but file has {len(body)}")
+    records = _records(path, MERGES_MAGIC, 1, 3, VocabParseError, "merges")
+    next(records)
     ranks: dict[tuple[bytes, bytes], int] = {}
-    for line_no, line in enumerate(body, start=2):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise VocabParseError(
-                f"expected '<rank>\\t<base64>\\t<base64>', got {line!r}", line_no=line_no
-            )
+    for line_no, fields in records:
         try:
-            rank = int(parts[0])
-            left = base64.b64decode(parts[1], validate=True)
-            right = base64.b64decode(parts[2], validate=True)
-        except (ValueError, binascii.Error) as exc:
-            raise VocabParseError(str(exc), line_no=line_no) from None
+            rank, left, right = int(fields[0]), _b64(fields[1]), _b64(fields[2])
+        except ValueError as exc:
+            raise VocabParseError(f"line {line_no}: {exc}") from None
         if (left, right) in ranks:
             raise VocabIntegrityError(f"duplicate merge pair at rank {rank}")
         ranks[(left, right)] = rank
@@ -386,65 +378,42 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     The file is read line by line into the float32 table, so memory beyond
     the table is one line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _numbered_lines(fh)
-        first = next(lines, None)
-        if first is None:
-            raise EmbeddingFormatError("empty embedding file")
+    records = _records(path, EMB_MAGIC, 2, 2, EmbeddingFormatError, "rows")
+    count, dim = next(records)
+    if count != len(vocab):
+        raise EmbeddingFormatError(
+            f"header declares {count} rows but vocabulary has {len(vocab)} tokens"
+        )
+    if dim < 1:
+        raise EmbeddingFormatError(f"dimension must be >= 1, got {dim}")
+    # every value takes at least a character and a separator
+    size = os.path.getsize(path)
+    if 2 * count * dim > size:
+        raise EmbeddingFormatError(
+            f"header declares {count}x{dim} values but the file has {size} bytes"
+        )
+    rows = np.empty((count, dim), dtype=np.float32)
+    seen = np.zeros(count, dtype=bool)
+    for line_no, fields in records:
         try:
-            count, dim = _parse_header(first[1], EMB_MAGIC, 2)
-        except VocabParseError as exc:
-            raise EmbeddingFormatError(str(exc)) from None
-        if count != len(vocab):
+            tid, values = int(fields[0]), np.array(fields[1].split(), dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"line {line_no}: {exc}") from None
+        if not 0 <= tid < count:
+            raise EmbeddingFormatError(f"line {line_no}: token id {tid} out of range")
+        if seen[tid]:
+            raise EmbeddingFormatError(f"line {line_no}: duplicate row for id {tid}")
+        if values.shape != (dim,):
             raise EmbeddingFormatError(
-                f"header declares {count} rows but vocabulary has {len(vocab)} tokens"
+                f"line {line_no}: expected {dim} values, got {values.size}"
             )
-        if dim < 1:
-            raise EmbeddingFormatError(f"dimension must be >= 1, got {dim}")
-        rows = np.empty((count, dim), dtype=np.float32)
-        seen = np.zeros(count, dtype=bool)
-        n_body = 0
-        error = None
-        for line_no, line in lines:
-            n_body = line_no - 1
-            if error is None:  # a line past the count always fails, ending the parse
-                try:
-                    _fill_row(rows, seen, line_no, line)
-                except (EmbeddingFormatError, EmbeddingDataError) as exc:
-                    error = exc
-    # a wrong row count outranks a bad line, as when the whole file was checked first
-    if n_body != count:
-        raise EmbeddingFormatError(f"header declares {count} rows but file has {n_body}")
-    if error is not None:
-        raise error
-    return EmbeddingTable.from_rows(rows)
-
-
-def _fill_row(rows: np.ndarray, seen: np.ndarray, line_no: int, line: str) -> None:
-    """Parse one ``<id>\\t<floats>`` line into ``rows[id]``."""
-    count, dim = rows.shape
-    parts = line.split("\t")
-    if len(parts) != 2:
-        raise EmbeddingFormatError(
-            f"line {line_no}: expected '<id>\\t<floats>', got {line!r}"
-        )
-    try:
-        tid = int(parts[0])
-        values = np.array(parts[1].split(), dtype=np.float64)
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"line {line_no}: {exc}") from None
-    if not 0 <= tid < count:
-        raise EmbeddingFormatError(f"line {line_no}: token id {tid} out of range")
-    if seen[tid]:
-        raise EmbeddingFormatError(f"line {line_no}: duplicate row for id {tid}")
-    if values.shape != (dim,):
-        raise EmbeddingFormatError(
-            f"line {line_no}: expected {dim} values, got {values.size}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise EmbeddingDataError(f"line {line_no}: non-finite embedding value")
-    rows[tid] = values
-    seen[tid] = True
+        if not np.all(np.isfinite(values)):
+            raise EmbeddingDataError(f"line {line_no}: non-finite embedding value")
+        rows[tid] = values
+        seen[tid] = True
+    # read-only, so the table takes it without a copy
+    rows.setflags(write=False)
+    return EmbeddingTable(rows)
 
 
 def tokenize(text: str | bytes, vocab: Vocabulary) -> TokenIdSeq:

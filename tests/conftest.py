@@ -23,7 +23,7 @@ def byte_complete_vocab(extra=()):
 def line_vocab_table(positions):
     """1-D layout: token i named b'ti' at coordinate positions[i]."""
     vocab = make_vocab([f"t{i}".encode() for i in range(len(positions))])
-    table = EmbeddingTable.from_rows(np.asarray(positions, dtype=float).reshape(-1, 1))
+    table = EmbeddingTable(np.asarray(positions, dtype=float).reshape(-1, 1))
     return vocab, table
 
 
@@ -33,14 +33,14 @@ def clustered_table(seed=3, size=4096, dim=32, clusters=8):
     rng = np.random.default_rng(seed)
     centres = rng.normal(scale=20.0, size=(clusters, dim))
     rows = centres[rng.integers(0, clusters, size)] + rng.normal(size=(size, dim))
-    return EmbeddingTable.from_rows(rows.astype(np.float32))
+    return EmbeddingTable(rows.astype(np.float32))
 
 
 def unit_gaussian_table(seed=4, size=512, dim=256):
     """Unit-norm Gaussian rows: all about sqrt(2) apart, so a rantext radius
     takes in every row."""
     rows = np.random.default_rng(seed).normal(size=(size, dim))
-    return EmbeddingTable.from_rows(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    return EmbeddingTable(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
 def record_kernel_calls(monkeypatch):
@@ -95,5 +95,5 @@ def word_vocab_table():
     tokens = [b"alpha", b"bravo", b"carol", b"delta", b"echo!"]
     vocab = make_vocab(tokens + [bytes([b]) for b in range(32, 127)])
     positions = list(range(len(vocab)))
-    table = EmbeddingTable.from_rows(np.asarray(positions, dtype=float).reshape(-1, 1))
+    table = EmbeddingTable(np.asarray(positions, dtype=float).reshape(-1, 1))
     return vocab, table

@@ -155,7 +155,7 @@ def _clustered_table(seed=2024, n_clusters=20, per=10, dim=4, min_sep=0.35,
     rows = []
     for c in centers:
         rows.extend(c + g.normal(0, std, size=(per, dim)))
-    return EmbeddingTable.from_rows(np.array(rows)), per
+    return EmbeddingTable(np.array(rows)), per
 
 
 def _trend_privacy(table, nn_sets, kind, eps, seed, draws_per_origin):

@@ -107,7 +107,7 @@ class TestEmbeddingInversion:
         # small integer grids: exact distances and many ties, duplicates included;
         # queries at a table row and at an arbitrary grid point
         rows, point = rows_and_point
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         row = table.vector(data.draw(st.integers(0, len(rows) - 1))).astype(float)
         for vec in (row, np.asarray(point, dtype=float)):
             for k in range(1, len(rows) + 1):

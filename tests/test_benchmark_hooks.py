@@ -1,6 +1,12 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from dptext.vocab import load_embeddings, load_vocabulary, tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,3 +22,18 @@ def test_tracer_installs_on_the_package():
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_generated_files_load_through_the_public_loaders(tmp_path):
+    # the benchmark's own files must load, match emb.npy and tokenize back to
+    # their ids here, before a benchmark run finds out
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.generate("evaluate-topk", 1, tmp_path)
+    vocab = load_vocabulary(tmp_path / "vocab.txt", merges_path=tmp_path / "merges.txt")
+    table = load_embeddings(tmp_path / "emb.txt", vocab)
+    assert np.array_equal(table.rows, np.load(tmp_path / "emb.npy"))
+    docs = json.loads((tmp_path / "docs.json").read_text(encoding="utf-8"))
+    for doc in docs:
+        assert tokenize(doc["text"], vocab).ids == tuple(doc["ids"])

@@ -168,6 +168,16 @@ class TestPerturbCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_impossible_embeddings_header_exits_2(self, corpus, tmp_path, capsys):
+        vocab, emb, doc = corpus
+        emb.write_text("DPTEXT-EMB v1 10 4611686018427387904\n")
+        code = run_cli([
+            "perturb", "--input", doc, "--out", tmp_path / "o.jsonl",
+            "--vocab", vocab, "--embeddings", emb,
+        ])
+        assert code == 2
+        assert "error: header declares 10x4611686018427387904 values" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_mock_run_is_deterministic(self, corpus, tmp_path):

@@ -108,6 +108,13 @@ class TestLoadAppConfig:
         with pytest.raises(ConfigError, match=r"^\[mechanism\] epsilon_em"):
             load_app_config(path)
 
+    @pytest.mark.parametrize("key", ["epsilon_lap", "laplace_sensitivity"])
+    def test_infinite_noise_parameter_is_config_error(self, tmp_path, key):
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[mechanism]\n{key} = inf\n")
+        with pytest.raises(ConfigError, match=rf"^\[mechanism\] {key}"):
+            load_app_config(path)
+
     def test_invalid_mechanism_value_is_config_error(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[mechanism]\nkind = quantum\n")

@@ -98,6 +98,7 @@ class TestMechanismConfig:
     @pytest.mark.parametrize("field, value", [
         ("epsilon_em", float("nan")), ("epsilon_em", float("inf")),
         ("epsilon_lap", float("nan")), ("laplace_sensitivity", float("nan")),
+        ("epsilon_lap", float("inf")), ("laplace_sensitivity", float("inf")),
     ])
     def test_non_finite_parameters_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
@@ -118,7 +119,7 @@ class TestMechanismConfig:
     def test_auto_sensitivity_is_max_per_dim_range(self):
         _, table = line_vocab_table([0.0, 1.0, 3.0])
         assert MechanismConfig().sensitivity(table) == 3.0
-        table2 = EmbeddingTable.from_rows([[0.0, 0.0], [1.0, 5.0]])
+        table2 = EmbeddingTable([[0.0, 0.0], [1.0, 5.0]])
         assert MechanismConfig().sensitivity(table2) == 5.0
 
     def test_explicit_sensitivity(self):
@@ -187,7 +188,7 @@ class TestRandomAdjacency:
         # n draws at once are n draws with n = 1 from the same stream, bit for
         # bit, and each radius is np.linalg.norm's ddot of its row (a row-wise
         # sum such as np.linalg.norm(noise, axis=1) differs in the last bit)
-        table = EmbeddingTable.from_rows(np.random.default_rng(dim).normal(size=(4, dim)))
+        table = EmbeddingTable(np.random.default_rng(dim).normal(size=(4, dim)))
         cfg = MechanismConfig(kind="rantext", epsilon_em=1.0, epsilon_lap=0.9)
         draws = 2000
         noise, radii = mechanisms._adjacency_noise(table, cfg, Rng(31), draws)
@@ -244,7 +245,7 @@ class TestFixedAdjacencies:
     )
     def test_topk_matches_stable_argsort_oracle(self, rows, data):
         # small integer grids: exact distances and many ties, duplicates included
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         origin = data.draw(st.integers(0, len(rows) - 1))
         for k in range(1, len(rows) + 1):
             sample = topk_adjacency(origin, table, k)
@@ -351,7 +352,7 @@ class TestScoreCandidates:
         # paper-final measures the candidates with the table's kernel; its
         # distances must not depend on how the gathered rows are blocked
         rows = np.random.default_rng(dim).normal(size=(300, dim))
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         ids = np.sort(np.random.default_rng(1).choice(300, 257, replace=False))
         point = np.random.default_rng(2).normal(size=dim)
         diff = table.rows[ids].astype(np.float64) - point

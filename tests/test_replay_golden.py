@@ -43,11 +43,11 @@ def _fixtures():
     line = [0, 1, 1, 2, 3, 3, 3, 5, 8, 8]
     gauss = np.random.default_rng(2023).normal(size=(40, 6))
     return [
-        ("grid", EmbeddingTable.from_rows(grid),
+        ("grid", EmbeddingTable(grid),
          (0, 12, 12, 25, 3, 0, 27, 7, 24, 12, 1, 26, 0, 5)),
-        ("line", EmbeddingTable.from_rows(np.array(line, dtype=float).reshape(-1, 1)),
+        ("line", EmbeddingTable(np.array(line, dtype=float).reshape(-1, 1)),
          (0, 1, 2, 2, 4, 5, 6, 9, 8, 4, 4, 7, 0, 3)),
-        ("gauss", EmbeddingTable.from_rows(gauss),
+        ("gauss", EmbeddingTable(gauss),
          (0, 39, 17, 17, 5, 22, 0, 8, 31, 17, 12, 5, 26, 39)),
     ]
 

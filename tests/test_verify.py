@@ -142,6 +142,8 @@ class TestCheckEmDp:
     def test_scores_outside_unit_interval_contract(self):
         with pytest.raises(ContractError):
             check_em_dp([[1.5, 0.0]], epsilon=1.0)
+        with pytest.raises(ContractError):
+            check_em_dp([[math.nan, 0.5], [0.2, 0.3]], epsilon=1.0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_epsilon_contract(self, eps):

@@ -187,7 +187,7 @@ class TestLoadEmbeddings:
 
     def test_full_scale_table_memory_arithmetic(self):
         # rows are float32, so an 11000 x 1536 table occupies 11000*1536*4 bytes
-        table = EmbeddingTable.from_rows(np.zeros((11000, 1536), dtype=np.float32))
+        table = EmbeddingTable(np.zeros((11000, 1536), dtype=np.float32))
         assert table.rows.nbytes == 11000 * 1536 * 4
 
     def test_loaded_rows_are_float32(self, tmp_path):
@@ -248,6 +248,32 @@ class TestLoadEmbeddings:
         finally:
             tracemalloc.stop()
         assert peak < 2 * table_bytes
+
+    def test_impossible_header_is_format_error(self, tmp_path):
+        # 2 x 2**62 values cannot fit in the file; refused before allocating
+        path = tmp_path / "e.txt"
+        path.write_text("DPTEXT-EMB v1 2 4611686018427387904\n0\t0\n1\t1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EmbeddingFormatError, match="values but the file has 44 bytes"):
+                load_embeddings(path, make_vocab([b"a", b"b"]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_loaded_table_keeps_the_loaders_array(self, tmp_path, monkeypatch):
+        # the loader hands over its read-only array, so the table makes no copy
+        handed = []
+
+        def recording(rows):
+            handed.append(rows)
+            return EmbeddingTable(rows)
+
+        monkeypatch.setattr(vocab_module, "EmbeddingTable", recording)
+        path = write_emb_file(tmp_path / "e.txt", [(0.5,), (1.0,)])
+        table = load_embeddings(path, make_vocab([b"a", b"b"]))
+        assert table.rows is handed[0]
 
     def test_load_deterministic(self, tmp_path):
         vocab = make_vocab([b"a", b"b"])
@@ -412,23 +438,23 @@ class TestDistance:
 
 class TestEmbeddingTable:
     def test_nearest_ties_break_by_smaller_id(self):
-        table = EmbeddingTable.from_rows([[0.0], [1.0], [1.0], [2.0]])
+        table = EmbeddingTable([[0.0], [1.0], [1.0], [2.0]])
         # from coordinate 1, ids 1 and 2 tie at distance 0
         assert table.nearest(np.array([1.0]), 3).tolist() == [1, 2, 0]
 
     def test_distances_from_contract(self):
-        table = EmbeddingTable.from_rows([[0.0, 0.0], [3.0, 4.0]])
+        table = EmbeddingTable([[0.0, 0.0], [3.0, 4.0]])
         with pytest.raises(ContractError):
             table.distances_from(np.zeros(3))
         assert table.distances_from(np.zeros(2)).tolist() == [0.0, 5.0]
 
     def test_distances_from_rejects_non_finite_vector(self):
-        table = EmbeddingTable.from_rows([[0.0, 0.0], [3.0, 4.0]])
+        table = EmbeddingTable([[0.0, 0.0], [3.0, 4.0]])
         with pytest.raises(ContractError, match="non-finite"):
             table.distances_from(np.array([0.0, np.nan]))
 
     def test_rows_not_writable(self):
-        table = EmbeddingTable.from_rows([[0.0], [1.0]])
+        table = EmbeddingTable([[0.0], [1.0]])
         with pytest.raises(ValueError):
             table.rows[0] = 9.0
 
@@ -437,6 +463,16 @@ class TestEmbeddingTable:
             EmbeddingTable(rows=np.array([[0.0], [np.nan]]))
         with pytest.raises(EmbeddingFormatError):
             EmbeddingTable(rows=np.zeros((0, 2)))
+
+    def test_constructor_leaves_callers_array_alone(self):
+        a = np.zeros((2, 2), dtype=np.float32)
+        table = EmbeddingTable(a)
+        assert a.flags.writeable and table.rows is not a
+        a[0, 0] = 1.0
+        assert table.rows[0, 0] == 0.0
+        frozen = np.zeros((2, 2), dtype=np.float32)
+        frozen.setflags(write=False)
+        assert EmbeddingTable(frozen).rows is frozen
 
     def test_constructor_takes_rows_only(self):
         with pytest.raises(TypeError):
@@ -449,8 +485,8 @@ class TestEmbeddingTable:
         assert table.rows.dtype == np.float32 and not table.rows.flags.writeable
 
     def test_tables_compare_and_hash_by_identity(self):
-        a = EmbeddingTable.from_rows([[0.0], [1.0]])
-        b = EmbeddingTable.from_rows([[0.0], [1.0]])
+        a = EmbeddingTable([[0.0], [1.0]])
+        b = EmbeddingTable([[0.0], [1.0]])
         assert a == a and a != b
         assert len({a, b, a}) == 2
 
@@ -472,6 +508,91 @@ class TestMerges:
         path.write_text("DPTEXT-MERGES v1 2\n0\tYQ==\tYg==\n")
         with pytest.raises(VocabParseError, match="declares 2"):
             load_merges(path)
+
+
+def _b64(token: bytes) -> str:
+    return base64.b64encode(token).decode()
+
+
+# per format: a loader given the header's count, its parse error, its header
+# for a count, and its record i
+RECORD_FORMATS = {
+    "vocabulary": (
+        lambda path, n: load_vocabulary(path), VocabParseError,
+        "DPTEXT-VOCAB v1 {}", lambda i: f"{i}\t{_b64(bytes([97 + i]))}",
+    ),
+    "merges": (
+        lambda path, n: load_merges(path), VocabParseError,
+        "DPTEXT-MERGES v1 {}", lambda i: f"{i}\t{_b64(b'a' * (i + 1))}\t{_b64(b'b')}",
+    ),
+    "embeddings": (
+        lambda path, n: load_embeddings(path, make_vocab([b"t%d" % i for i in range(n)])),
+        EmbeddingFormatError,
+        "DPTEXT-EMB v1 {} 1", lambda i: f"{i}\t{i}.5",
+    ),
+}
+
+# (name, header count, file lines, message or None when the file loads). In
+# the lines "h" is the header, "r<i>" record i, and "x<i>" record i with a
+# non-integer first field.
+RECORD_CASES = [
+    ("empty file", 1, [], r"^line 1: expected header"),
+    ("bad header", 1, ["WRONG v1 1", "r0"], r"^line 1: expected header"),
+    ("non-integer header", "x", ["h", "r0"], r"^line 1: non-integer header field"),
+    ("count outranks a bad line", 2, ["h", "r0", "x1", "r1"], r"declares 2 \w+ but file has 3"),
+    ("count short", 3, ["h", "r0", "r1"], r"declares 3 \w+ but file has 2"),
+    ("trailing blank lines dropped", 2, ["h", "r0", "r1", "", "  ", ""], None),
+    ("blank body line is a record", 2, ["h", "r0", "", "r1"], r"declares 2 \w+ but file has 3"),
+    ("blank body line fails its line", 3, ["h", "r0", "", "r2"], r"^line 3: expected \d tab-sep"),
+    ("field count names its line", 2, ["h", "r0", "1\t\t\t"], r"^line 3: expected \d tab-sep"),
+    ("bad value names its line", 2, ["h", "r0", "x1"], r"^line 3: invalid literal"),
+    ("non-UTF-8 byte names its line", 2, ["h", "r0", "1\t\udcff"], r"^line 3: "),
+]
+
+
+class TestRecordFiles:
+    """The rules every line-record file shares, run through each loader."""
+
+    @pytest.mark.parametrize("fmt", RECORD_FORMATS)
+    @pytest.mark.parametrize("name, count, lines, match", RECORD_CASES,
+                             ids=[case[0] for case in RECORD_CASES])
+    def test_shared_rules(self, tmp_path, fmt, name, count, lines, match):
+        load, error, header, record = RECORD_FORMATS[fmt]
+        text = ""
+        for line in lines:
+            if line == "h":
+                line = header.format(count)
+            elif line[:1] == "r":
+                line = record(int(line[1:]))
+            elif line[:1] == "x":
+                line = "x\t" + record(int(line[1:])).partition("\t")[2]
+            text += line + "\n"
+        path = tmp_path / "records.txt"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        n = count if isinstance(count, int) else 1
+        if match is None:
+            assert len(load(path, n)) == n
+        else:
+            with pytest.raises(error, match=match):
+                load(path, n)
+
+    @pytest.mark.parametrize("fmt", RECORD_FORMATS)
+    def test_unopenable_path_is_refused(self, tmp_path, fmt):
+        load, error, _, _ = RECORD_FORMATS[fmt]
+        with pytest.raises(error, match="cannot open .*: Is a directory"):
+            load(tmp_path, 1)
+
+    @pytest.mark.parametrize("fmt", RECORD_FORMATS)
+    def test_unseekable_file_is_refused(self, fmt):
+        load, error, header, record = RECORD_FORMATS[fmt]
+        r, w = os.pipe()
+        os.write(w, f"{header.format(1)}\n{record(0)}\n".encode())
+        os.close(w)
+        try:
+            with pytest.raises(error, match="not seekable"):
+                load(f"/dev/fd/{r}", 1)
+        finally:
+            os.close(r)
 
 
 def _one_shot_distances(table, vec):
@@ -499,7 +620,7 @@ class TestDistancesFromBlocks:
     def test_bit_identical_to_one_shot(self, size, dim):
         rng = np.random.default_rng(size * 31 + dim)
         rows = rng.normal(size=(size, dim)).astype(np.float32)
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         queries = [table.vector(0), table.vector(size - 1), rng.normal(size=dim)]
         for vec in queries:
             assert np.array_equal(table.distances_from(vec), _one_shot_distances(table, vec))
@@ -508,14 +629,14 @@ class TestDistancesFromBlocks:
         rng = np.random.default_rng(5)
         rows = rng.normal(size=(1500, 64)).astype(np.float32)
         rows[1200] = rows[3]
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         d = table.distances_from(table.vector(3))
         assert d[3] == 0.0 and d[1200] == 0.0
         assert np.array_equal(d, _one_shot_distances(table, table.vector(3)))
 
     def test_memory_is_the_row_plus_one_block(self):
         rows = np.random.default_rng(1).normal(size=(40_000, 64)).astype(np.float32)
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         vec = table.vector(17)
         tracemalloc.start()
         try:
@@ -546,7 +667,7 @@ class TestWithin:
     )
     def test_equals_full_row_cut(self, rows, data):
         # small integer grids: exact distances, many ties and duplicate rows
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         dim = table.dim
         if data.draw(st.booleans(), label="row query"):
             vec = table.vector(data.draw(st.integers(0, len(rows) - 1)))
@@ -565,7 +686,7 @@ class TestWithin:
 
     @pytest.mark.parametrize("rows", [[[1.5, -2.0]], [[0.0, 0.0], [3.0, 4.0]]])
     def test_one_and_two_row_tables(self, rows):
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         for vec in [*table.rows, np.array([0.5, 0.25])]:
             for radius in (0.0, 1.0, 5.0, 100.0):
                 ids, d = table.within(vec, radius)
@@ -578,7 +699,7 @@ class TestWithin:
         # rule makes the one kept row equal the full row
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(4, 9000)).astype(np.float32)
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         vec = rows[2].astype(np.float64) + rng.normal(scale=0.01, size=9000)
         diff = rows[2:3].astype(np.float64) - vec
         lone = np.sqrt(np.einsum("ij,ij->i", diff, diff))[0]
@@ -604,7 +725,7 @@ class TestWithin:
 
     def test_query_memory_is_bounded(self):
         rows = np.random.default_rng(1).normal(size=(40_000, 64)).astype(np.float32)
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         vec = table.vector(17)
         tracemalloc.start()
         try:
@@ -618,7 +739,7 @@ class TestWithin:
         assert peak < 12 * len(table) + 2 * _BLOCK_BYTES + 64 * 1024
 
     def test_contract(self):
-        table = EmbeddingTable.from_rows([[0.0, 0.0], [3.0, 4.0]])
+        table = EmbeddingTable([[0.0, 0.0], [3.0, 4.0]])
         with pytest.raises(ContractError):
             table.within(np.zeros(3), 1.0)
         with pytest.raises(ContractError, match="non-finite"):
@@ -703,7 +824,7 @@ class TestScreenedQueries:
         st.data(),
     )
     def test_k_nearest_equals_full_row_oracle_for_every_k(self, rows, offset, data):
-        table = EmbeddingTable.from_rows(np.asarray(rows) + offset)
+        table = EmbeddingTable(np.asarray(rows) + offset)
         origin = None
         if data.draw(st.booleans(), label="row query"):
             origin = data.draw(st.integers(0, len(rows) - 1), label="origin")
@@ -721,7 +842,7 @@ class TestScreenedQueries:
         st.data(),
     )
     def test_topk_adjacency_equals_full_row_oracle_for_every_k(self, rows, data):
-        table = EmbeddingTable.from_rows(rows)
+        table = EmbeddingTable(rows)
         origin = data.draw(st.integers(0, len(rows) - 1))
         for k in range(1, len(table) + 1):
             ids, d, kth = _full_row_nearest(table, table.vector(origin), k, origin)
@@ -739,7 +860,7 @@ class TestScreenedQueries:
 
     @pytest.mark.parametrize("case", ADVERSARIAL)
     def test_adversarial_tables(self, case):
-        table = EmbeddingTable.from_rows(_adversarial_table(case))
+        table = EmbeddingTable(_adversarial_table(case))
         rng = np.random.default_rng(5)
         rows = table.rows.astype(np.float64)
         spread = float(np.abs(rows - rows.mean(axis=0)).max())
@@ -759,7 +880,7 @@ class TestScreenedQueries:
         # the screen cannot hold such a query, so every row is measured; at
         # 1e200 every distance and |v|² overflow to inf, and only an infinite
         # radius takes the rows in
-        table = EmbeddingTable.from_rows(np.random.default_rng(2).normal(size=(50, 4)))
+        table = EmbeddingTable(np.random.default_rng(2).normal(size=(50, 4)))
         radii = [0.0, 2 * scale, np.inf]
         with np.errstate(over="ignore", invalid="ignore"):
             _assert_queries_exact(table, np.full(4, scale), [1, 25, 50], radii)
@@ -770,7 +891,7 @@ class TestScreenedQueries:
         code = (
             "import hashlib, numpy as np; from dptext.vocab import EmbeddingTable\n"
             "rows = np.random.default_rng(3).normal(size=(20000, 64)).astype(np.float32)\n"
-            "t = EmbeddingTable.from_rows(rows); h = hashlib.sha256()\n"
+            "t = EmbeddingTable(rows); h = hashlib.sha256()\n"
             "for i in range(0, 20000, 2000):\n"
             "    ids, d = t.within(t.vector(i), 9.5)\n"
             "    n, nd, kth = t._nearest(t.vector(i).astype(float), 50, i)\n"
