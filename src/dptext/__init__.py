@@ -28,6 +28,7 @@ from .errors import (
     EmbeddingFormatError,
     EndpointError,
     EndpointTimeoutError,
+    RecordFileError,
     TokenizationError,
     TransientEndpointError,
     VocabIntegrityError,

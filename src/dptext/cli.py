@@ -30,7 +30,7 @@ from .config import (
 )
 from .dpcore import Rng
 from .errors import ConfigError, ContractError, DpTextError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .mechanisms import (
     KINDS,
     SCORING_MODES,
@@ -91,8 +91,7 @@ def _load_corpus(cfg: AppConfig):
 
 def cmd_perturb(cfg: AppConfig, args) -> int:
     vocab, table = _load_corpus(cfg)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(args.input, ConfigError)
     seed = cfg.resolved_seed()
     rng = Rng(seed)
     doc = tokenize(text, vocab)
@@ -112,8 +111,7 @@ def cmd_perturb(cfg: AppConfig, args) -> int:
 
 def cmd_run(cfg: AppConfig, args) -> int:
     vocab, table = _load_corpus(cfg)
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(args.input, ConfigError)
     mech = cfg.mechanism
     if args.truncate_paper_setup:
         head = TokenIdSeq(ids=tuple(tokenize(text, vocab))[:50])

@@ -53,5 +53,9 @@ class AttackParseError(DpTextError):
         self.body = body
 
 
+class RecordFileError(DpTextError):
+    """A perturbed-documents file or a run record cannot be read or parsed."""
+
+
 class ConfigError(DpTextError):
     """Invalid or incomplete application configuration."""

@@ -6,6 +6,18 @@ import os
 import threading
 from contextlib import contextmanager
 
+from .errors import DpTextError
+
+
+def read_text(path, error: type[DpTextError]) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be opened, read or
+    decoded raises ``error``, naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
 
 @contextmanager
 def atomic_write(path):

@@ -30,8 +30,8 @@ from .dpcore import (
     sample_categorical,
     sample_laplace_vector,
 )
-from .errors import ContractError
-from .fileio import atomic_write
+from .errors import ContractError, RecordFileError
+from .fileio import atomic_write, read_text
 from .vocab import EmbeddingTable, TokenIdSeq
 
 KINDS = ("rantext", "topk", "global")
@@ -199,23 +199,20 @@ def _random_adjacencies(
     norm serves every draw, cut at its own radius as it is consumed."""
     noises = [_adjacency_noise(table, cfg, stream) for stream in streams]
     vec = table.vector(origin)
-    ids, d = table.within(vec, max(r for _, (r,) in noises))
-    return (_radius_cut(origin, r, vec + noise, ids, d) for (noise,), (r,) in noises)
+    ids, d = table.within(vec, max(r for _, r in noises))
+    return (_radius_cut(origin, r, vec + noise, ids, d) for noise, r in noises)
 
 
 def _adjacency_noise(
-    table: EmbeddingTable, cfg: MechanismConfig, rng: Rng, n: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """``n`` successive rantext draws from ``rng``: their noise rows (n x dim)
-    and norms, the adjacency radii. One draw is the first use of its stream;
-    n draws at once equal n calls with n = 1, bit for bit: the stream yields
-    the same uniforms, and each norm is the same ``ddot`` of its row that
-    ``np.linalg.norm`` computes (a row-wise sum would reorder it)."""
+    table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
+) -> tuple[np.ndarray, float]:
+    """One rantext draw from ``rng``: its Laplace noise vector and the noise
+    norm, the adjacency radius."""
     if cfg.kind != "rantext":
         raise ContractError(f"random adjacency requires kind 'rantext', got {cfg.kind!r}")
     scale = cfg.sensitivity(table) / cfg.lap_epsilon
-    noise = sample_laplace_vector(n * table.dim, scale, rng).reshape(n, table.dim)
-    return noise, np.sqrt((noise[:, None, :] @ noise[:, :, None]).reshape(n))
+    noise = sample_laplace_vector(table.dim, scale, rng)
+    return noise, float(np.linalg.norm(noise))
 
 
 def topk_adjacency(origin: int, table: EmbeddingTable, k: int) -> AdjacencySample:
@@ -391,9 +388,12 @@ def write_perturbed_jsonl(
 
 def read_perturbed_jsonl(path) -> list[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+    for line_no, line in enumerate(read_text(path, RecordFileError).split("\n"), 1):
+        if line.strip():
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise RecordFileError(
+                    f"{path}: line {line_no}: {exc.msg} at column {exc.colno}"
+                ) from None
     return records

@@ -29,9 +29,10 @@ from .errors import (
     ContractError,
     EndpointError,
     EndpointTimeoutError,
+    RecordFileError,
     TransientEndpointError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_text
 from .mechanisms import MechanismConfig, perturb_document
 from .vocab import EmbeddingTable, Vocabulary, detokenize_text, tokenize
 
@@ -251,8 +252,10 @@ def save_run_record(record: RunRecord, runs_dir) -> str:
 
 
 def load_run_record(path) -> RunRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RunRecord.from_dict(json.load(fh))
+    try:
+        return RunRecord.from_dict(json.loads(read_text(path, RecordFileError)))
+    except (json.JSONDecodeError, TypeError) as exc:  # TypeError: fields missing
+        raise RecordFileError(f"{path}: not a run record: {exc}") from None
 
 
 def _utc_now() -> str:

@@ -1,15 +1,15 @@
-"""Brute-force verification of the mechanism's privacy and utility claims.
+"""Exact verification of the mechanism's privacy and utility claims.
 
 Every check runs on a desk-scale fixture where the claim can be computed
-exactly or estimated with known statistics:
+exactly, without sampling:
 
-* exact exponential-mechanism ratio bounds (enumeration, no sampling);
-* adjacency membership monotonicity and full support (Monte Carlo, drawn in
-  blocks through the mechanism's own noise draw);
+* exponential-mechanism ratio bounds (enumeration over random score tables);
+* adjacency membership monotonicity and full support (the closed-form
+  membership probability of a 1-D layout, the Laplace tail of the radius);
 * scoring monotonicity under every reachable adjacency (exhaustive).
 
-Checks never call network backends. Monte Carlo checks take an explicit
-seed and report reproducible frequencies.
+Checks never call network backends. Only the random score tables read the
+seed; every other result depends on its fixture alone.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ import numpy as np
 
 from .dpcore import Rng, exp_mechanism_probs
 from .errors import ContractError
-from .mechanisms import MechanismConfig, _adjacency_noise, _radius_cut, score_candidates
+from .mechanisms import MechanismConfig, _radius_cut, score_candidates
 from .vocab import EmbeddingTable
 
 EM_RATIO_TOL = 1e-9
 SCORE_ORDER_TOL = 1e-12
-# Monte Carlo adjacency draws per noise call: memory stays fixed in the trials
-MC_BLOCK = 4096
+# the random score tables' shape: inputs, and at most this many candidates
+N_INPUTS = 3
+MAX_CANDIDATES = 6
 
 
 @dataclass
@@ -40,6 +41,7 @@ class VerificationResult:
     worst_case: float
     bound: float
     details: dict = field(default_factory=dict)
+    # every built-in check is exact; a result marked False never gates
     deterministic: bool = True
     informational: bool = False
 
@@ -114,7 +116,6 @@ def check_em_dp(score_table, epsilon: float) -> VerificationResult:
         worst_case=worst,
         bound=epsilon,
         details={"inputs": n, "candidates": matrix.shape[1]},
-        deterministic=True,
     )
 
 
@@ -123,26 +124,15 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
 
 
-def check_em_dp_random_tables(
-    n_tables: int,
-    epsilon: float,
-    rng: Rng,
-    n_inputs: int = 3,
-    max_candidates: int = 6,
-) -> VerificationResult:
+def check_em_dp_random_tables(n_tables: int, epsilon: float, rng: Rng) -> VerificationResult:
     """Run check_em_dp over many random score tables; worst case across all."""
     if n_tables < 1:
         raise ContractError(f"n_tables must be >= 1, got {n_tables}")
-    # one input or one candidate admits no ratio, so would pass vacuously
-    if n_inputs < 2:
-        raise ContractError(f"n_inputs must be >= 2, got {n_inputs}")
-    if max_candidates < 2:
-        raise ContractError(f"max_candidates must be >= 2, got {max_candidates}")
     worst = 0.0
     for _ in range(n_tables):
-        n_cands = 2 + int(rng.uniform() * (max_candidates - 1))
-        n_cands = min(n_cands, max_candidates)
-        table = np.asarray(rng.uniform(n_inputs * n_cands)).reshape(n_inputs, n_cands)
+        n_cands = 2 + int(rng.uniform() * (MAX_CANDIDATES - 1))
+        n_cands = min(n_cands, MAX_CANDIDATES)
+        table = np.asarray(rng.uniform(N_INPUTS * n_cands)).reshape(N_INPUTS, n_cands)
         result = check_em_dp(table, epsilon)
         worst = max(worst, result.worst_case)
     return VerificationResult(
@@ -150,19 +140,18 @@ def check_em_dp_random_tables(
         passed=worst <= epsilon + EM_RATIO_TOL,
         worst_case=worst,
         bound=epsilon,
-        details={"tables": n_tables, "inputs": n_inputs, "max_candidates": max_candidates},
-        deterministic=True,
+        details={"tables": n_tables, "inputs": N_INPUTS, "max_candidates": MAX_CANDIDATES},
     )
 
 
-def _radius_blocks(table: EmbeddingTable, cfg: MechanismConfig, trials: int, rng: Rng):
-    """The adjacency radii of ``trials`` successive rantext draws from ``rng``,
-    as (index of the block's first trial, radii) in blocks of ``MC_BLOCK``.
-    They are the radii ``compute_random_adjacency`` would draw call by call,
-    bit for bit, and a draw's adjacency is every token within its radius."""
-    for start in range(0, trials, MC_BLOCK):
-        _, radii = _adjacency_noise(table, cfg, rng, min(MC_BLOCK, trials - start))
-        yield start, radii
+def _membership_probability(
+    table: EmbeddingTable, cfg: MechanismConfig, d: np.ndarray
+) -> np.ndarray:
+    """The probability that a rantext draw on the 1-D ``table`` takes a token
+    at distance ``d`` from its origin into the adjacency. There the radius is
+    |Laplace(b)| with b = sensitivity / epsilon_lap, so P(radius >= d) is
+    exactly the Laplace tail exp(-d / b) (Dwork & Roth 2014)."""
+    return np.exp(-d * cfg.lap_epsilon / cfg.sensitivity(table))
 
 
 def check_membership_monotonicity(
@@ -171,20 +160,14 @@ def check_membership_monotonicity(
     nearer: int,
     farther: int,
     eps_lap: float,
-    trials: int,
-    rng: Rng,
 ) -> VerificationResult:
-    """Monte Carlo check that closer tokens enter the random adjacency more often.
+    """Exact check that closer tokens enter the random adjacency more often.
 
-    Estimates the membership frequencies of ``nearer`` and ``farther`` over
-    repeated adjacency draws for ``origin`` on a 1-D layout. Fails only when
-    the farther token's frequency significantly exceeds the nearer one's
-    (margin below -3 pooled standard errors); equidistant fixtures therefore
-    pass when the two frequencies agree within noise. The strict margin is
-    reported in the details for callers that require significance.
+    Computes the membership probabilities of ``nearer`` and ``farther`` in
+    the adjacency of ``origin`` on a 1-D layout; passes iff the nearer
+    token's is no smaller. ``strict_pass`` in the details says whether it is
+    larger, which equidistant fixtures cannot be.
     """
-    if trials < 10000:
-        raise ContractError(f"trials must be >= 10000, got {trials}")
     roles = (origin, nearer, farther)
     if len(set(roles)) != 3 or not all(0 <= i < len(positions) for i in roles):
         raise ContractError(
@@ -200,39 +183,33 @@ def check_membership_monotonicity(
         )
     cfg = MechanismConfig(kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap)
     dists = table.distances_from(table.vector(origin))
-    hits_near = 0
-    hits_far = 0
-    for _, radii in _radius_blocks(table, cfg, trials, rng):
-        hits_near += int(np.count_nonzero(dists[nearer] <= radii))
-        hits_far += int(np.count_nonzero(dists[farther] <= radii))
-    freq_near = hits_near / trials
-    freq_far = hits_far / trials
-    margin = freq_near - freq_far
-    se = math.sqrt(
-        freq_near * (1 - freq_near) / trials + freq_far * (1 - freq_far) / trials
-    )
+    p_near, p_far = _membership_probability(table, cfg, dists[[nearer, farther]]).tolist()
+    margin = p_near - p_far
     return VerificationResult(
         name="adjacency-membership-monotonicity",
-        passed=-margin <= 3 * se,
-        worst_case=-margin,
-        bound=3 * se,
+        passed=margin >= 0,
+        worst_case=p_far - p_near,
+        bound=0.0,
         details={
-            "freq_nearer": freq_near,
-            "freq_farther": freq_far,
+            "freq_nearer": p_near,
+            "freq_farther": p_far,
             "margin": margin,
-            "pooled_se": se,
-            "strict_pass": margin >= 3 * se,
-            "trials": trials,
+            "strict_pass": margin > 0,
             "eps_lap": eps_lap,
             "positions": list(positions),
         },
-        deterministic=False,
     )
 
 
-def _observed_support(vocab_size: int, eps_lap: float, trials: int, rng: Rng) -> np.ndarray:
-    """The (origin, target) pairs that co-occur in ``trials`` adjacency draws
-    round-robin over the origins of a 1-D layout of ``vocab_size`` tokens."""
+def check_full_support(vocab_size: int, eps_lap: float) -> VerificationResult:
+    """Exact check that any token can appear in any token's adjacency.
+
+    Computes every (origin, target) membership probability on a 1-D layout
+    of ``vocab_size`` tokens; passes iff none is 0 in float64. Reports the
+    fraction of positive pairs and the smallest probability either way.
+    """
+    if not 1 <= vocab_size <= 10:
+        raise ContractError(f"vocab_size must be in [1, 10], got {vocab_size}")
     table = line_layout(list(range(vocab_size)))
     # a single-token layout has zero coordinate range, so auto sensitivity is undefined
     sensitivity = "auto" if vocab_size > 1 else 1.0
@@ -241,47 +218,19 @@ def _observed_support(vocab_size: int, eps_lap: float, trials: int, rng: Rng) ->
         laplace_sensitivity=sensitivity,
     )
     rows = np.array([table.distances_from(table.vector(o)) for o in range(vocab_size)])
-    # trial t draws for origin t % vocab_size; the adjacency grows with the
-    # radius, so an origin's union of adjacencies is the one at its largest
-    reach = np.full(vocab_size, -np.inf)
-    for start, radii in _radius_blocks(table, cfg, trials, rng):
-        for o in range(vocab_size):
-            drawn = radii[(o - start) % vocab_size :: vocab_size]
-            reach[o] = max(reach[o], drawn.max(initial=-np.inf))
-    return rows <= reach[:, None]
-
-
-def check_full_support(
-    vocab_size: int,
-    eps_lap: float,
-    trials: int,
-    rng: Rng,
-) -> VerificationResult:
-    """Monte Carlo check that any token can appear in any token's adjacency.
-
-    Draws adjacencies round-robin over origins on a 1-D layout of
-    ``vocab_size`` tokens; passes iff every (origin, target) pair co-occurs
-    at least once. Reports the observed coverage fraction either way.
-    """
-    if not 1 <= vocab_size <= 10:
-        raise ContractError(f"vocab_size must be in [1, 10], got {vocab_size}")
-    if trials < 20000:
-        raise ContractError(f"trials must be >= 20000, got {trials}")
-    observed = _observed_support(vocab_size, eps_lap, trials, rng)
-    coverage = float(observed.mean())
-    missing = int(observed.size - observed.sum())
+    probs = _membership_probability(table, cfg, rows)
+    missing = int(np.count_nonzero(probs == 0.0))
     return VerificationResult(
         name="adjacency-full-support",
         passed=missing == 0,
         worst_case=float(missing),
         bound=0.0,
         details={
-            "coverage_fraction": coverage,
+            "coverage_fraction": float(np.mean(probs > 0.0)),
+            "min_probability": float(probs.min()),
             "vocab_size": vocab_size,
-            "trials": trials,
             "eps_lap": eps_lap,
         },
-        deterministic=False,
     )
 
 
@@ -336,7 +285,6 @@ def check_document_privacy_monotonicity(
             "scoring_mode": cfg.scoring_mode,
             "epsilon_em": cfg.epsilon_em,
         },
-        deterministic=True,
         informational=informational,
     )
 
@@ -355,13 +303,10 @@ def run_default_suite(
         results.append(check_em_dp_random_tables(200, eps, rng.child(1, int(eps * 1000))))
     results.append(
         check_membership_monotonicity(
-            (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2,
-            eps_lap=1.0, trials=50000, rng=rng.child(2),
+            (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2, eps_lap=1.0
         )
     )
-    results.append(
-        check_full_support(5, eps_lap=1.0, trials=20000, rng=rng.child(3))
-    )
+    results.append(check_full_support(5, eps_lap=1.0))
     fixture = line_layout((0.0, 1.0, 2.0, 5.0))
     results.append(
         check_document_privacy_monotonicity(

@@ -91,22 +91,38 @@ def test_02_sampling_fidelity():
 @criterion(3, "membership monotonicity with significance")
 def test_03_membership_monotonicity():
     started = time.perf_counter()
+    positions = (0.0, 1.0, 3.0)
     result = check_membership_monotonicity(
-        (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2,
-        eps_lap=1.0, trials=50000, rng=Rng(303),
+        positions, origin=0, nearer=1, farther=2, eps_lap=1.0
     )
     details = result.details
-    assert details["margin"] > 3 * details["pooled_se"], details
-    assert result.passed
+    # sensitivity 3 (the layout's range) at eps_lap 1: the Laplace tail e^(-d/3)
+    exact = (math.exp(-1 / 3), math.exp(-1))
+    assert abs(details["freq_nearer"] - exact[0]) <= 1e-12, details
+    assert abs(details["freq_farther"] - exact[1]) <= 1e-12, details
+    assert result.passed and details["strict_pass"], details
+    # the exact values describe the mechanism only if its drawn radii follow
+    # that tail: membership frequencies over its own draws, within 4 SE
+    table = line_layout(positions)
+    cfg = MechanismConfig(kind="rantext", epsilon_em=1.0, epsilon_lap=1.0)
+    rng = Rng(303)
+    n = 50000
+    radii = np.array([mechanisms._adjacency_noise(table, cfg, rng)[1] for _ in range(n)])
+    dists = table.distances_from(table.vector(0))
+    for token, p in zip((1, 2), exact):
+        freq = np.count_nonzero(dists[token] <= radii) / n
+        assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n), (token, freq, p)
     assert time.perf_counter() - started < 10.0
 
 
 @criterion(4, "full support of the random adjacency")
 def test_04_full_support():
     started = time.perf_counter()
-    result = check_full_support(5, eps_lap=1.0, trials=20000, rng=Rng(404))
+    result = check_full_support(5, eps_lap=1.0)
     assert result.passed, result.details
     assert result.details["coverage_fraction"] == 1.0
+    # the farthest pair is 4 apart at sensitivity 4
+    assert abs(result.details["min_probability"] - math.exp(-1)) <= 1e-12
     assert time.perf_counter() - started < 10.0
 
 

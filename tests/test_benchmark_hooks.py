@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+import dptext
+from dptext.verify import run_default_suite, suite_exit_code
 from dptext.vocab import load_embeddings, load_vocabulary, tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +39,15 @@ def test_generated_files_load_through_the_public_loaders(tmp_path):
     docs = json.loads((tmp_path / "docs.json").read_text(encoding="utf-8"))
     for doc in docs:
         assert tokenize(doc["text"], vocab).ids == tuple(doc["ids"])
+
+
+def test_verify_suite_passes_the_benchmark_check(monkeypatch):
+    # the verify-suite workload checks every result's fields; a refactor that
+    # drops one it reads must fail here and not only in a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("worker", ROOT / "perfbench" / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    results = run_default_suite(1)
+    check = worker.VerifySuite(dptext, None).check(0, (results, suite_exit_code(results)))
+    assert check == ([], {})

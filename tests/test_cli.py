@@ -470,6 +470,52 @@ class TestMetricsCommand:
         ]
 
 
+def _bad_input_argv(case, corpus, tmp_path):
+    """The command line of one bad-input case, and what its error must name."""
+    vocab, emb, doc = corpus
+    paths = ["--vocab", vocab, "--embeddings", emb]
+    missing = tmp_path / "missing.txt"
+    binary = tmp_path / "latin1.txt"
+    binary.write_bytes(b"caf\xe9")
+    jsonl = tmp_path / "truncated.jsonl"
+    jsonl.write_text('{"doc_index": 0, "perturbed_ids": [1]}\n{"doc_index": 1, "pert\n')
+    record = tmp_path / "record.json"
+    if case == "metrics-not-json":
+        record.write_text("{not json")
+    elif case == "metrics-incomplete":
+        record.write_text('{"run_id": "r1"}')
+    return {
+        "perturb-missing": (["perturb", "--input", missing, "--out", tmp_path / "o.jsonl",
+                             *paths], "missing.txt"),
+        "run-missing": (["--mock", "run", "--input", missing, *paths], "missing.txt"),
+        "perturb-not-utf8": (["perturb", "--input", binary, "--out", tmp_path / "o.jsonl",
+                              *paths], "latin1.txt"),
+        "run-not-utf8": (["--mock", "run", "--input", binary, *paths], "latin1.txt"),
+        "attack-missing": (["attack", "--perturbed", missing, "--kind", "inversion", *paths],
+                           "missing.txt"),
+        "attack-truncated-line": (["attack", "--perturbed", jsonl, "--kind", "inversion",
+                                   *paths], "truncated.jsonl: line 2"),
+        "metrics-missing": (["metrics", missing], "missing.txt"),
+        "metrics-not-json": (["metrics", record], "record.json"),
+        "metrics-incomplete": (["metrics", record], "record.json: not a run record"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "perturb-missing", "run-missing", "perturb-not-utf8", "run-not-utf8",
+    "attack-missing", "attack-truncated-line",
+    "metrics-missing", "metrics-not-json", "metrics-incomplete",
+])
+def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
+    # an unreadable or malformed input file is the user's error: exit 2 and
+    # one line naming the file, never a traceback
+    argv, names = _bad_input_argv(case, corpus, tmp_path)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err, err
+    assert "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
         code = run_cli(["--seed", 3, "--quiet", "verify"])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dptext.mechanisms as mechanisms
+import dptext.verify as verify
 from dptext.dpcore import Rng, exp_mechanism_probs
 from dptext.errors import ContractError
 from dptext.mechanisms import MechanismConfig
 from dptext.verify import (
-    MC_BLOCK,
     _logsumexp_rows,
-    _observed_support,
     check_document_privacy_monotonicity,
     check_em_dp,
     check_em_dp_random_tables,
@@ -45,40 +43,6 @@ def em_dp_worst_oracle(matrix, epsilon):
             if a != b:
                 worst = max(worst, float(np.max(logp[a] - logp[b])))
     return worst
-
-
-def membership_oracle(positions, origin, nearer, farther, eps_lap, trials, rng):
-    """The per-trial loop check_membership_monotonicity once ran: one noise
-    draw per trial, its adjacency the origin's full distance row cut at the
-    noise norm. Returns (freq_nearer, freq_farther)."""
-    table = line_layout(positions)
-    cfg = MechanismConfig(kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap)
-    dists = table.distances_from(table.vector(origin))
-    hits_near = hits_far = 0
-    for _ in range(trials):
-        _, (radius,) = mechanisms._adjacency_noise(table, cfg, rng)
-        cands = np.nonzero(dists <= radius)[0].tolist()
-        hits_near += nearer in cands
-        hits_far += farther in cands
-    return hits_near / trials, hits_far / trials
-
-
-def support_oracle(vocab_size, eps_lap, trials, rng):
-    """The per-trial loop check_full_support once ran, round-robin over
-    origins, each trial's adjacency its origin's full distance row cut at one
-    noise norm. Returns the observed (origin, target) matrix."""
-    table = line_layout(list(range(vocab_size)))
-    cfg = MechanismConfig(
-        kind="rantext", epsilon_em=eps_lap, epsilon_lap=eps_lap,
-        laplace_sensitivity="auto" if vocab_size > 1 else 1.0,
-    )
-    rows = [table.distances_from(table.vector(o)) for o in range(vocab_size)]
-    observed = np.zeros((vocab_size, vocab_size), dtype=bool)
-    for t in range(trials):
-        origin = t % vocab_size
-        _, (radius,) = mechanisms._adjacency_noise(table, cfg, rng)
-        observed[origin, rows[origin] <= radius] = True
-    return observed
 
 
 def monotonicity_oracle(table, cfg):
@@ -203,19 +167,11 @@ class TestCheckEmDp:
         assert result.passed
         assert result.worst_case <= eps + 1e-9
 
-    @pytest.mark.parametrize("kwargs", [dict(n_inputs=1), dict(max_candidates=1),
-                                        dict(n_inputs=0), dict(max_candidates=0)])
-    def test_random_tables_reject_vacuous_shapes(self, kwargs):
-        # one input or one candidate has no ratio to bound: it would pass with worst=0
-        with pytest.raises(ContractError):
-            check_em_dp_random_tables(10, 1.0, Rng(0), **kwargs)
-
 
 class TestCheckMembershipMonotonicity:
     def test_canonical_one_d_fixture(self):
         result = check_membership_monotonicity(
-            (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2,
-            eps_lap=1.0, trials=20000, rng=Rng(5),
+            (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2, eps_lap=1.0
         )
         assert result.passed
         assert result.details["freq_nearer"] > result.details["freq_farther"]
@@ -223,31 +179,36 @@ class TestCheckMembershipMonotonicity:
 
     def test_duplicate_embedding_always_member(self):
         result = check_membership_monotonicity(
-            (0.0, 0.0, 2.0), origin=0, nearer=1, farther=2,
-            eps_lap=1.0, trials=10000, rng=Rng(6),
+            (0.0, 0.0, 2.0), origin=0, nearer=1, farther=2, eps_lap=1.0
         )
         assert result.details["freq_nearer"] == 1.0
         assert result.passed
 
     def test_equidistant_degenerate_pass(self):
         result = check_membership_monotonicity(
-            (0.0, 1.0, -1.0), origin=0, nearer=1, farther=2,
-            eps_lap=1.0, trials=10000, rng=Rng(7),
+            (0.0, 1.0, -1.0), origin=0, nearer=1, farther=2, eps_lap=1.0
         )
+        assert result.details["margin"] == 0
         assert result.passed
-        assert abs(result.details["margin"]) <= 3 * result.details["pooled_se"]
+        assert not result.details["strict_pass"]
+
+    def test_fails_when_farther_token_is_likelier(self, monkeypatch):
+        # the check gates on the membership probability it is given: one that
+        # grows with the distance must fail it, and fail the suite
+        monkeypatch.setattr(
+            verify, "_membership_probability", lambda table, cfg, d: 1 - np.exp(-d)
+        )
+        result = check_membership_monotonicity(
+            (0.0, 1.0, 3.0), origin=0, nearer=1, farther=2, eps_lap=1.0
+        )
+        assert not result.passed
+        assert result.worst_case == pytest.approx(math.exp(-1) - math.exp(-3), abs=1e-12)
+        assert suite_exit_code([result]) == 1
 
     def test_swapped_roles_contract(self):
         with pytest.raises(ContractError):
             check_membership_monotonicity(
-                (0.0, 3.0, 1.0), origin=0, nearer=1, farther=2,
-                eps_lap=1.0, trials=10000, rng=Rng(0),
-            )
-
-    def test_trials_contract(self):
-        with pytest.raises(ContractError):
-            check_membership_monotonicity(
-                (0.0, 1.0, 3.0), 0, 1, 2, eps_lap=1.0, trials=100, rng=Rng(0)
+                (0.0, 3.0, 1.0), origin=0, nearer=1, farther=2, eps_lap=1.0
             )
 
     @pytest.mark.parametrize("roles", [
@@ -262,98 +223,41 @@ class TestCheckMembershipMonotonicity:
         origin, nearer, farther = roles
         with pytest.raises(ContractError, match="distinct indices"):
             check_membership_monotonicity(
-                (0.0, 1.0, 3.0), origin, nearer, farther,
-                eps_lap=1.0, trials=10000, rng=Rng(0),
+                (0.0, 1.0, 3.0), origin, nearer, farther, eps_lap=1.0
             )
-
-    @pytest.mark.parametrize("seed, positions, origin, nearer, farther, eps_lap", [
-        (1, (0.0, 1.0, 3.0), 0, 1, 2, 1.0),
-        (7, (0.0, 1.0, 3.0), 0, 1, 2, 1.0),
-        (11, (0.0, 0.5, -2.0, 4.0, 9.0), 1, 0, 3, 0.3),
-        (303, (0.0, 0.5, -2.0, 4.0, 9.0), 1, 0, 3, 0.3),
-    ])
-    def test_frequencies_equal_per_trial_loop(
-        self, seed, positions, origin, nearer, farther, eps_lap
-    ):
-        trials = 10000 + 3  # a partial last block
-        result = check_membership_monotonicity(
-            positions, origin, nearer, farther, eps_lap, trials, Rng(seed)
-        )
-        freq_near, freq_far = membership_oracle(
-            positions, origin, nearer, farther, eps_lap, trials, Rng(seed)
-        )
-        assert result.details["freq_nearer"] == freq_near
-        assert result.details["freq_farther"] == freq_far
-
-    def test_memory_does_not_grow_with_trials(self):
-        # one draw is 8 bytes of noise and radius each; a million at once
-        # would hold several 8 MB arrays
-        kwargs = dict(positions=(0.0, 1.0, 3.0), origin=0, nearer=1, farther=2, eps_lap=1.0)
-        check_membership_monotonicity(trials=10000, rng=Rng(1), **kwargs)
-        tracemalloc.start()
-        try:
-            result = check_membership_monotonicity(trials=1_000_000, rng=Rng(1), **kwargs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.details["trials"] == 1_000_000
-        assert peak < 64 * MC_BLOCK * 8
-
-    def test_reproducible_frequencies(self):
-        kwargs = dict(
-            positions=(0.0, 1.0, 3.0), origin=0, nearer=1, farther=2,
-            eps_lap=1.0, trials=10000,
-        )
-        a = check_membership_monotonicity(rng=Rng(9), **kwargs)
-        b = check_membership_monotonicity(rng=Rng(9), **kwargs)
-        assert a.details["freq_nearer"] == b.details["freq_nearer"]
-        assert a.details["freq_farther"] == b.details["freq_farther"]
 
 
 class TestCheckFullSupport:
     def test_two_token_vocab(self):
-        result = check_full_support(2, eps_lap=1.0, trials=20000, rng=Rng(1))
+        result = check_full_support(2, eps_lap=1.0)
         assert result.passed
         assert result.details["coverage_fraction"] == 1.0
 
     def test_single_token_trivial(self):
-        result = check_full_support(1, eps_lap=1.0, trials=20000, rng=Rng(2))
+        result = check_full_support(1, eps_lap=1.0)
         assert result.passed
+        assert result.details["min_probability"] == 1.0
 
     def test_five_token_vocab(self):
-        result = check_full_support(5, eps_lap=1.0, trials=20000, rng=Rng(3))
+        result = check_full_support(5, eps_lap=1.0)
         assert result.passed
+        # the farthest pair is 4 apart at sensitivity 4
+        assert result.details["min_probability"] == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_tiny_noise_reports_coverage(self):
-        # with enormous eps the radius almost never reaches the far tokens;
-        # the check may legitimately fail but must report observed coverage
-        result = check_full_support(10, eps_lap=1e6, trials=20000, rng=Rng(4))
-        assert 0.0 < result.details["coverage_fraction"] <= 1.0
-        assert result.worst_case == float(
-            round((1 - result.details["coverage_fraction"]) * 100)
-        )
-
-    @pytest.mark.parametrize("seed, vocab_size, eps_lap", [
-        (1, 5, 1.0), (7, 10, 30.0), (404, 10, 30.0), (11, 6, 15.0),
-    ])
-    def test_coverage_equals_per_trial_loop(self, seed, vocab_size, eps_lap):
-        # the larger epsilons leave pairs unseen, so coverage is partial
-        trials = 20000 + 5  # a partial last block, not a multiple of vocab_size
-        observed = support_oracle(vocab_size, eps_lap, trials, Rng(seed))
-        batched = _observed_support(vocab_size, eps_lap, trials, Rng(seed))
-        assert batched.tolist() == observed.tolist()
-        result = check_full_support(vocab_size, eps_lap, trials, Rng(seed))
-        assert result.details["coverage_fraction"] == float(observed.mean())
-        assert result.worst_case == float(observed.size - observed.sum())
+        # with enormous eps the probability that the radius reaches a token 1
+        # apart, exp(-1e6 / 9), underflows: only the 10 (origin, origin) pairs
+        # are positive, so the check fails and must say how far it fell short
+        result = check_full_support(10, eps_lap=1e6)
+        assert result.details["coverage_fraction"] == 0.1
+        assert result.details["min_probability"] == 0.0
+        assert result.worst_case == 90.0
+        assert not result.passed
+        assert suite_exit_code([result]) == 1
 
     def test_vocab_size_contract(self):
         with pytest.raises(ContractError):
-            check_full_support(11, eps_lap=1.0, trials=20000, rng=Rng(0))
-
-    def test_trials_contract(self):
-        with pytest.raises(ContractError):
-            check_full_support(5, eps_lap=1.0, trials=100, rng=Rng(0))
-
+            check_full_support(11, eps_lap=1.0)
 
 class TestCheckDocumentPrivacyMonotonicity:
     @pytest.mark.parametrize("mode", ["def4-consistent", "paper-final"])

@@ -3,8 +3,9 @@
 
 The golden holds, per seed, each check's printed line (as ``dptext verify``
 prints it) and its full-precision worst case and details, so a change that
-moves any Monte Carlo frequency shows up as a diff even where the six printed
-digits agree. To accept such a change on purpose, regenerate the file with
+moves any random table's worst case or any exact probability shows up as a
+diff even where the six printed digits agree. To accept such a change on
+purpose, regenerate the file with
 
     PYTHONPATH=src python -m tests.test_verify_golden
 
@@ -53,6 +54,17 @@ def test_verify_suite_matches_golden():
         for got, want in zip(actual[key], expected[key]):
             assert got == want, f"{key}: {got['line']} differs from the golden"
     assert render(actual) == text
+
+
+def test_exact_adjacency_checks_read_no_seed():
+    # membership and support are closed-form: every seed gives the same rows
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    rows = {
+        seed: [r for r in expected[f"seed={seed}"] if r["line"].startswith("adjacency-")]
+        for seed in SEEDS
+    }
+    assert len(rows[SEEDS[0]]) == 2
+    assert all(rows[seed] == rows[SEEDS[0]] for seed in SEEDS)
 
 
 if __name__ == "__main__":
