@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -21,13 +22,7 @@ import sys
 from . import attacks as attacks_mod
 from . import metrics as metrics_mod
 from . import verify as verify_mod
-from .config import (
-    PATH_KEYS,
-    AppConfig,
-    apply_mechanism_overrides,
-    load_app_config,
-    sensitivity,
-)
+from .config import AppConfig, apply_mechanism_overrides, load_app_config, sensitivity
 from .dpcore import Rng
 from .errors import ConfigError, ContractError, DpTextError
 from .fileio import atomic_write, read_text
@@ -41,8 +36,9 @@ from .mechanisms import (
 from .pipeline import (
     HttpLlmClient,
     MockLlmClient,
-    run_privinfer,
     load_run_record,
+    run_privinfer,
+    save_run_record,
 )
 from .vocab import (
     TokenIdSeq,
@@ -93,10 +89,7 @@ def cmd_perturb(cfg: AppConfig, args) -> int:
     vocab, table = _load_corpus(cfg)
     text = read_text(args.input, ConfigError)
     seed = cfg.resolved_seed()
-    rng = Rng(seed)
-    doc = tokenize(text, vocab)
-    n = args.n if args.n is not None else cfg.n_docs
-    docs = perturb_document(doc, table, cfg.mechanism, n, rng)
+    docs = perturb_document(tokenize(text, vocab), table, cfg.mechanism, cfg.n_docs, Rng(seed))
     texts = [detokenize_text(d.perturbed_ids, vocab) for d in docs]
     write_perturbed_jsonl(
         args.out, docs, seed=seed, cfg=cfg.mechanism, redact=args.redact, texts=texts
@@ -112,14 +105,13 @@ def cmd_perturb(cfg: AppConfig, args) -> int:
 def cmd_run(cfg: AppConfig, args) -> int:
     vocab, table = _load_corpus(cfg)
     text = read_text(args.input, ConfigError)
-    mech = cfg.mechanism
     if args.truncate_paper_setup:
         head = TokenIdSeq(ids=tuple(tokenize(text, vocab))[:50])
         text = detokenize_text(head, vocab)
     if args.mock:
         remote = MockLlmClient(echo=True)
         local = MockLlmClient(default=MOCK_RESTORED_TEXT)
-        max_concurrent = 4
+        pool = {}
     else:
         if cfg.remote is None or cfg.restore is None:
             raise ConfigError(
@@ -130,22 +122,14 @@ def cmd_run(cfg: AppConfig, args) -> int:
             remote_cfg = dataclasses.replace(remote_cfg, max_output_tokens=100)
         remote = HttpLlmClient(remote_cfg)
         local = HttpLlmClient(cfg.restore)
-        max_concurrent = remote_cfg.max_concurrent
+        pool = {"max_concurrent": remote_cfg.max_concurrent}
     seed = cfg.resolved_seed()
     record = run_privinfer(
-        text,
-        vocab,
-        table,
-        mech,
-        args.n if args.n is not None else cfg.n_docs,
-        remote,
-        local,
-        Rng(seed),
-        runs_dir=cfg.runs_dir,
-        max_concurrent=max_concurrent,
+        text, vocab, table, cfg.mechanism, cfg.n_docs, remote, local, Rng(seed), **pool
     )
+    path = save_run_record(record, cfg.runs_dir)
     _say(args, f"seed = {seed}")
-    _say(args, f"run record: {os.path.join(cfg.runs_dir, record.run_id + '.json')}")
+    _say(args, f"run record: {path}")
     if record.status != "ok":
         print(f"run {record.status}: {record.error}", file=sys.stderr)
         return 1
@@ -157,24 +141,18 @@ def cmd_attack(cfg: AppConfig, args) -> int:
     records = read_perturbed_jsonl(args.perturbed)
     if not records:
         raise ContractError(f"no perturbed documents in {args.perturbed}")
-    missing = [r for r in records if "original_ids" not in r]
-    if missing:
+    if any("original_ids" not in r for r in records):
         raise ContractError(
             "perturbed file lacks original_ids; attacks evaluate recovery against "
             "the originals, so re-run perturb without --redact for evaluation"
         )
-    k = args.k if args.k is not None else cfg.attack_k
-    reports = []
+    k = cfg.attack_k
     if args.attack_kind == "inversion":
-        vocab, table = _load_corpus(cfg)
-        for rec in records:
-            reports.append(
-                attacks_mod.embedding_inversion(
-                    TokenIdSeq(ids=tuple(rec["perturbed_ids"])),
-                    TokenIdSeq(ids=tuple(rec["original_ids"])),
-                    table,
-                    k,
-                )
+        _, table = _load_corpus(cfg)
+
+        def attack(ids, original_ids):
+            return attacks_mod.embedding_inversion(
+                TokenIdSeq(ids=tuple(ids)), TokenIdSeq(ids=tuple(original_ids)), table, k
             )
     else:
         cfg.require_paths("vocab")
@@ -188,24 +166,24 @@ def cmd_attack(cfg: AppConfig, args) -> int:
                 raise ConfigError(
                     "gpt attack requires a [remote] endpoint section (or --mock)"
                 )
+            on_texts = functools.partial(
+                attacks_mod.gpt_inference_attack, client=client,
+                chunk_size=cfg.attack_chunk_size,
+            )
         elif not args.mock:
             raise ConfigError(
                 "no built-in masked-LM backend; the mask attack runs against "
                 "a MaskedLmClient via the library API, or use --mock"
             )
         else:
-            client = _WrongAnswerMaskClient()
-        for rec in records:
-            perturbed = [vocab.token_text(t) for t in rec["perturbed_ids"]]
-            originals = [vocab.token_text(t) for t in rec["original_ids"]]
-            if args.attack_kind == "gpt":
-                reports.append(
-                    attacks_mod.gpt_inference_attack(
-                        perturbed, originals, client, chunk_size=cfg.attack_chunk_size
-                    )
-                )
-            else:
-                reports.append(attacks_mod.mask_attack(perturbed, originals, client, k))
+            on_texts = functools.partial(
+                attacks_mod.mask_attack, client=_WrongAnswerMaskClient(), k=k
+            )
+
+        def attack(ids, original_ids):
+            return on_texts([vocab.token_text(t) for t in ids],
+                            [vocab.token_text(t) for t in original_ids])
+    reports = [attack(r["perturbed_ids"], r["original_ids"]) for r in records]
 
     eps = records[0].get("config", {}).get("epsilon_em", "-")
     overall = attacks_mod.AttackReport.from_outcomes(
@@ -318,14 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--top-k", type=int, dest="top_k")
 
     def add_path_flags(p):
-        p.add_argument("--vocab", help="vocabulary file")
-        p.add_argument("--embeddings", help="embedding file")
-        p.add_argument("--merges", help="BPE merges file")
+        # dests are AppConfig field names, as are -n's, --k's and --runs-dir's
+        p.add_argument("--vocab", dest="vocab_path", help="vocabulary file")
+        p.add_argument("--embeddings", dest="embeddings_path", help="embedding file")
+        p.add_argument("--merges", dest="merges_path", help="BPE merges file")
 
     p = sub.add_parser("perturb", help="write N perturbed copies of a document")
     p.add_argument("--input", required=True, help="document text file")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("-n", type=int, default=None,
+    p.add_argument("-n", type=int, dest="n_docs",
                    help="number of perturbed documents (default: [run] n_docs)")
     p.add_argument("--redact", action="store_true",
                    help="omit original ids from the output")
@@ -335,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="perturb, generate remotely, restore locally")
     p.add_argument("--input", required=True, help="document text file")
-    p.add_argument("-n", type=int, default=None, help="number of perturbed prompts")
+    p.add_argument("-n", type=int, dest="n_docs", help="number of perturbed prompts")
     p.add_argument("--runs-dir", dest="runs_dir", help="directory for run records")
     p.add_argument("--truncate-paper-setup", action="store_true",
                    help="use the first 50 tokens and a 100-token generation budget")
@@ -347,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbed", required=True, help="perturbed JSONL from perturb")
     p.add_argument("--kind", choices=["inversion", "gpt", "mask"], required=True,
                    dest="attack_kind")
-    p.add_argument("--k", type=int, help="candidate budget for inversion/mask")
+    p.add_argument("--k", type=int, dest="attack_k",
+                   help="candidate budget for inversion/mask")
     p.add_argument("--out", help="write the full attack report JSON here")
     add_path_flags(p)
     p.set_defaults(func=cmd_attack)
@@ -371,11 +351,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.ERROR if args.quiet else logging.WARNING)
     try:
         cfg = load_app_config(args.config)
-        for key, attr in PATH_KEYS.items():
-            if getattr(args, key, None):
-                setattr(cfg, attr, getattr(args, key))
-        if args.seed is not None:
-            cfg.seed = args.seed
+        for f in dataclasses.fields(AppConfig):  # flags whose dests are field names
+            if (value := getattr(args, f.name, None)) is not None:
+                setattr(cfg, f.name, value)
         apply_mechanism_overrides(cfg, args)
         return args.func(cfg, args)
     except DpTextError as exc:

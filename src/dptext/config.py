@@ -78,10 +78,9 @@ _CASTS = {
 }
 
 # key -> AppConfig field for the sections that set AppConfig directly
-PATH_KEYS = {"vocab": "vocab_path", "embeddings": "embeddings_path",
-             "merges": "merges_path", "runs_dir": "runs_dir"}
 _APP_KEYS = {
-    "paths": PATH_KEYS,
+    "paths": {"vocab": "vocab_path", "embeddings": "embeddings_path",
+              "merges": "merges_path", "runs_dir": "runs_dir"},
     "attack": {"k": "attack_k", "chunk_size": "attack_chunk_size"},
     "run": {"seed": "seed", "n_docs": "n_docs"},
 }

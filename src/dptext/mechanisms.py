@@ -386,14 +386,30 @@ def write_perturbed_jsonl(
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _record_problem(record) -> str | None:
+    """Why a parsed line is not a perturbed-document record; None when it is.
+    ``original_ids`` may be absent, since a redacted file omits it."""
+    if not isinstance(record, dict) or "doc_index" not in record:
+        return "not an object with a doc_index"
+    for key, default in (("perturbed_ids", None), ("original_ids", [])):
+        ids = record.get(key, default)
+        if not (isinstance(ids, list) and all(type(t) is int for t in ids)):
+            return f"{key} is not a list of integers"
+    return None
+
+
 def read_perturbed_jsonl(path) -> list[dict]:
     records = []
     for line_no, line in enumerate(read_text(path, RecordFileError).split("\n"), 1):
         if line.strip():
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordFileError(
                     f"{path}: line {line_no}: {exc.msg} at column {exc.colno}"
                 ) from None
+            problem = _record_problem(record)
+            if problem is not None:
+                raise RecordFileError(f"{path}: line {line_no}: {problem}")
+            records.append(record)
     return records

@@ -191,28 +191,24 @@ class MockLlmClient:
 
 
 def run_inference(
-    client: LlmClient,
-    prompt: str,
-    retries: int = DEFAULT_RETRIES,
-    backoff_s: Sequence[float] = DEFAULT_BACKOFF_S,
-    sleep: Callable[[float], None] = time.sleep,
+    client: LlmClient, prompt: str, sleep: Callable[[float], None] = time.sleep
 ) -> str:
     """Call the backend, retrying transient failures with exponential backoff."""
     last: TransientEndpointError | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(DEFAULT_RETRIES + 1):
         try:
             return client.generate(prompt)
         except TransientEndpointError as exc:
             last = exc
-            if attempt < retries:
-                delay = backoff_s[min(attempt, len(backoff_s) - 1)]
+            if attempt < DEFAULT_RETRIES:
+                delay = DEFAULT_BACKOFF_S[min(attempt, len(DEFAULT_BACKOFF_S) - 1)]
                 logger.warning(
                     "transient backend failure (attempt %d/%d): %s; retrying in %.1fs",
-                    attempt + 1, retries + 1, exc, delay,
+                    attempt + 1, DEFAULT_RETRIES + 1, exc, delay,
                 )
                 sleep(delay)
     raise EndpointTimeoutError(
-        f"backend still failing after {retries} retries: {last}"
+        f"backend still failing after {DEFAULT_RETRIES} retries: {last}"
     ) from last
 
 
@@ -262,6 +258,16 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _remote_call(
+    remote: LlmClient, prompt: str, sleep: Callable[[float], None]
+) -> tuple[str | None, str | None, str]:
+    """One remote generation: its text or its error, then when it finished."""
+    try:
+        return run_inference(remote, prompt, sleep=sleep), None, _utc_now()
+    except EndpointError as exc:
+        return None, str(exc), _utc_now()
+
+
 def run_privinfer(
     document_text: str,
     vocab: Vocabulary,
@@ -290,15 +296,8 @@ def run_privinfer(
     if run_id is None:
         digest = hashlib.sha256(document_text.encode("utf-8")).hexdigest()[:12]
         run_id = f"run-{rng.seed:016x}-{digest}"
-    config = {
-        "mechanism": mech_cfg.to_snapshot(),
-        "n_docs": n_docs,
-        "seed": rng.seed,
-    }
 
     timestamps: dict = {"started": _utc_now()}
-    doc_ids = tokenize(document_text, vocab)
-    perturbed = perturb_document(doc_ids, table, mech_cfg, n_docs, rng)
     perturbed_docs = [
         {
             "doc_index": p.doc_index,
@@ -306,54 +305,36 @@ def run_privinfer(
             "text": detokenize_text(p.perturbed_ids, vocab),
             "adjacency_sizes": list(p.adjacency_sizes),
         }
-        for p in perturbed
+        for p in perturb_document(tokenize(document_text, vocab), table, mech_cfg, n_docs, rng)
     ]
     prompts = [build_inference_prompt(p["text"]) for p in perturbed_docs]
-
-    generations: list[str | None] = [None] * n_docs
-    errors: list[str] = []
-    call_times: list[str | None] = [None] * n_docs
-
-    def _one(index: int) -> None:
-        try:
-            generations[index] = run_inference(remote, prompts[index], sleep=sleep)
-        except EndpointError as exc:
-            errors.append(f"document {index + 1}: {exc}")
-        finally:
-            call_times[index] = _utc_now()
-
     with ThreadPoolExecutor(max_workers=min(max_concurrent, n_docs)) as pool:
-        list(pool.map(_one, range(n_docs)))
-    timestamps["remote_calls"] = call_times
+        calls = pool.map(lambda prompt: _remote_call(remote, prompt, sleep), prompts)
+        generations, errors, timestamps["remote_calls"] = map(list, zip(*calls))
+    failures = [f"document {j}: {e}" for j, e in enumerate(errors, 1) if e is not None]
 
     record = RunRecord(
         run_id=run_id,
         raw_document=document_text,
         instruction=INFERENCE_INSTRUCTION,
         restoration_instruction=RESTORATION_INSTRUCTION,
-        config=config,
+        config={"mechanism": mech_cfg.to_snapshot(), "n_docs": n_docs, "seed": rng.seed},
         perturbed_documents=perturbed_docs,
         generations=generations,
         restored_text=None,
         status="ok",
         timestamps=timestamps,
     )
-
-    if errors:
-        record.status = "remote_failed"
-        record.error = "; ".join(sorted(errors))
-        timestamps["finished"] = _utc_now()
-        if runs_dir is not None:
-            save_run_record(record, runs_dir)
-        return record
-
-    restoration_prompt = build_restoration_prompt(document_text, generations)
-    try:
-        record.restored_text = run_inference(local, restoration_prompt, sleep=sleep)
-    except EndpointError as exc:
-        record.status = "restore_failed"
-        record.error = str(exc)
-    timestamps["restore"] = _utc_now()
+    if failures:
+        record.status, record.error = "remote_failed", "; ".join(sorted(failures))
+    else:
+        try:
+            record.restored_text = run_inference(
+                local, build_restoration_prompt(document_text, generations), sleep=sleep
+            )
+        except EndpointError as exc:
+            record.status, record.error = "restore_failed", str(exc)
+        timestamps["restore"] = _utc_now()
     timestamps["finished"] = _utc_now()
     if runs_dir is not None:
         save_run_record(record, runs_dir)

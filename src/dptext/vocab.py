@@ -42,6 +42,12 @@ MERGES_MAGIC = "DPTEXT-MERGES v1"
 _BLOCK_BYTES = 1 << 18
 
 
+def _require_id(token_id: int, size: int) -> None:
+    """Token ids index arrays, where a negative id would silently wrap."""
+    if not 0 <= token_id < size:
+        raise ContractError(f"token id {token_id} out of range for |V|={size}")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Immutable token-id <-> token-bytes mapping, optionally with BPE merge ranks.
@@ -72,6 +78,7 @@ class Vocabulary:
         return len(self.entries)
 
     def token_bytes(self, token_id: int) -> bytes:
+        _require_id(token_id, len(self.entries))
         return self.entries[token_id]
 
     def token_id(self, token: bytes) -> int | None:
@@ -79,7 +86,7 @@ class Vocabulary:
 
     def token_text(self, token_id: int, errors: str = "replace") -> str:
         """Decode one token's bytes as UTF-8 (lossy by default)."""
-        return self.entries[token_id].decode("utf-8", errors=errors)
+        return self.token_bytes(token_id).decode("utf-8", errors=errors)
 
 
 @dataclass(frozen=True)
@@ -123,13 +130,16 @@ class EmbeddingTable:
             raise EmbeddingFormatError(
                 f"embedding rows must be a non-empty 2-D array, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise EmbeddingDataError("embedding rows contain non-finite values")
         arr.setflags(write=False)
+        # a float32 value squared in float64 is below 1.2e77, so a row's sum
+        # is finite exactly when all its values are; checked before the range,
+        # where inf - inf would warn
+        half_sq = 0.5 * np.einsum("ij,ij->i", arr, arr, dtype=np.float64)
+        if not np.isfinite(half_sq).all():
+            raise EmbeddingDataError("embedding rows contain non-finite values")
+        half_sq.setflags(write=False)
         rng = (arr.max(axis=0) - arr.min(axis=0)).astype(np.float64)
         rng.setflags(write=False)
-        half_sq = 0.5 * np.einsum("ij,ij->i", arr, arr, dtype=np.float64)
-        half_sq.setflags(write=False)
         object.__setattr__(self, "rows", arr)
         object.__setattr__(self, "per_dim_range", rng)
         object.__setattr__(self, "_half_sq", half_sq)
@@ -143,6 +153,7 @@ class EmbeddingTable:
         return int(self.rows.shape[1])
 
     def vector(self, token_id: int) -> np.ndarray:
+        _require_id(token_id, len(self))
         return self.rows[token_id]
 
     def distances_from(self, vec) -> np.ndarray:
@@ -505,10 +516,6 @@ def _tokenize_bpe(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
 
 def detokenize(seq: TokenIdSeq, vocab: Vocabulary) -> bytes:
     """Concatenate token bytes; inverse of tokenize on coverable inputs."""
-    size = len(vocab)
-    for tid in seq:
-        if not 0 <= tid < size:
-            raise ContractError(f"token id {tid} out of range for |V|={size}")
     return b"".join(vocab.token_bytes(tid) for tid in seq)
 
 

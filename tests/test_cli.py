@@ -196,6 +196,16 @@ class TestRunCommand:
         rec2.pop("timestamps")
         assert rec1 == rec2
 
+    def test_prints_the_path_of_the_record_it_wrote(self, corpus, tmp_path, capsys):
+        vocab, emb, doc = corpus
+        runs = tmp_path / "runs"
+        assert run_cli([
+            "--seed", 5, "--mock", "run", "--input", doc, "-n", 2,
+            "--vocab", vocab, "--embeddings", emb, "--runs-dir", runs,
+        ]) == 0
+        (written,) = runs.iterdir()
+        assert f"run record: {written}\n" in capsys.readouterr().out
+
     def test_run_produces_n_generations(self, corpus, tmp_path):
         vocab, emb, doc = corpus
         runs = tmp_path / "runs"
@@ -479,6 +489,11 @@ def _bad_input_argv(case, corpus, tmp_path):
     binary.write_bytes(b"caf\xe9")
     jsonl = tmp_path / "truncated.jsonl"
     jsonl.write_text('{"doc_index": 0, "perturbed_ids": [1]}\n{"doc_index": 1, "pert\n')
+    not_object = tmp_path / "number.jsonl"
+    not_object.write_text("5\n")
+    no_ids = tmp_path / "no_ids.jsonl"
+    no_ids.write_text('{"doc_index": 1, "perturbed_ids": [1], "original_ids": [1]}\n'
+                      '{"doc_index": 2, "original_ids": [1]}\n')
     record = tmp_path / "record.json"
     if case == "metrics-not-json":
         record.write_text("{not json")
@@ -495,6 +510,10 @@ def _bad_input_argv(case, corpus, tmp_path):
                            "missing.txt"),
         "attack-truncated-line": (["attack", "--perturbed", jsonl, "--kind", "inversion",
                                    *paths], "truncated.jsonl: line 2"),
+        "attack-not-object": (["attack", "--perturbed", not_object, "--kind", "inversion",
+                               *paths], "number.jsonl: line 1"),
+        "attack-no-perturbed-ids": (["attack", "--perturbed", no_ids, "--kind", "inversion",
+                                     *paths], "no_ids.jsonl: line 2"),
         "metrics-missing": (["metrics", missing], "missing.txt"),
         "metrics-not-json": (["metrics", record], "record.json"),
         "metrics-incomplete": (["metrics", record], "record.json: not a run record"),
@@ -503,7 +522,8 @@ def _bad_input_argv(case, corpus, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "perturb-missing", "run-missing", "perturb-not-utf8", "run-not-utf8",
-    "attack-missing", "attack-truncated-line",
+    "attack-missing", "attack-truncated-line", "attack-not-object",
+    "attack-no-perturbed-ids",
     "metrics-missing", "metrics-not-json", "metrics-incomplete",
 ])
 def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
@@ -513,6 +533,44 @@ def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("perturb", "n_docs must be >= 1"), ("run", "n_docs must be >= 1"),
+    ("attack", "k must be in [1, 10]"),
+])
+def test_zero_count_flag_is_an_error_not_unset(command, message, corpus, tmp_path, capsys):
+    # a flag of 0 overrides the configured count and is rejected; it must not
+    # read as an unset flag and fall back to the default
+    vocab, emb, doc = corpus
+    paths = ["--vocab", vocab, "--embeddings", emb]
+    perturbed = tmp_path / "p.jsonl"
+    assert run_cli(["--seed", 1, "perturb", "--input", doc, "--out", perturbed, *paths]) == 0
+    capsys.readouterr()
+    argv = {
+        "perturb": ["perturb", "--input", doc, "--out", tmp_path / "o.jsonl", "-n", 0],
+        "run": ["--mock", "run", "--input", doc, "-n", 0, "--runs-dir", tmp_path / "r"],
+        "attack": ["attack", "--perturbed", perturbed, "--kind", "inversion", "--k", 0],
+    }[command]
+    assert run_cli([*argv, *paths]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["inversion", "gpt"])
+@pytest.mark.parametrize("token_id", [-1, 10])
+def test_out_of_range_token_id_is_an_error_line(kind, token_id, corpus, tmp_path, capsys):
+    # ids index the ten-token table and vocabulary; -1 must not mean the last
+    vocab, emb, _ = corpus
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(
+        {"doc_index": 1, "perturbed_ids": [0, token_id], "original_ids": [0, 1]}
+    ) + "\n")
+    code = run_cli(["--mock", "attack", "--perturbed", path, "--kind", kind,
+                    "--k", 2, "--vocab", vocab, "--embeddings", emb])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"token id {token_id} out of range" in err, err
     assert "Traceback" not in err
 
 

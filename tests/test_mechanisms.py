@@ -422,6 +422,14 @@ class TestPerturbDocument:
         assert [d.doc_index for d in docs] == [1, 2, 3]
         assert all(len(d.adjacency_sizes) == 5 for d in docs)
 
+    @pytest.mark.parametrize("kind", ["rantext", "topk", "global"])
+    @pytest.mark.parametrize("origin", [-1, 3])
+    def test_out_of_range_origin_is_contract_error(self, kind, origin):
+        _, table = line_vocab_table([0.0, 1.0, 2.0])
+        cfg = MechanismConfig(kind=kind, epsilon_em=2.0, top_k=2)
+        with pytest.raises(ContractError, match="out of range"):
+            perturb_document(TokenIdSeq(ids=(0, origin)), table, cfg, 2, Rng(1))
+
     def test_huge_epsilon_reproduces_document(self):
         _, table = line_vocab_table([0.0, 1.0, 2.0])
         cfg = MechanismConfig(kind="rantext", epsilon_em=1e6, epsilon_lap=1.0)

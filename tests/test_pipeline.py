@@ -289,6 +289,22 @@ class TestRunPrivinfer:
         for doc, gen in zip(record.perturbed_documents, record.generations):
             assert doc["text"] in gen
 
+    @pytest.mark.parametrize("status", ["ok", "remote_failed", "restore_failed"])
+    def test_saved_record_reloads_equal(self, status, tmp_path):
+        # the benchmark compares each saved record, reloaded, with the one returned
+        vocab, table, cfg = self._setup()
+        down = MockLlmClient(always_raise=EndpointError("down"))
+        remote = down if status == "remote_failed" else MockLlmClient(echo=True)
+        local = down if status == "restore_failed" else MockLlmClient(default="r")
+        record = run_privinfer(
+            "t0t1t2", vocab, table, cfg, 3, remote, local, Rng(5),
+            runs_dir=tmp_path, sleep=no_sleep,
+        )
+        assert record.status == status
+        assert load_run_record(tmp_path / f"{record.run_id}.json") == record
+        assert len(record.timestamps["remote_calls"]) == 3
+        assert ("restore" in record.timestamps) == (status != "remote_failed")
+
     def test_n_docs_contract(self):
         vocab, table, cfg = self._setup()
         with pytest.raises(ContractError):

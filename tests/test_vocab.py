@@ -464,6 +464,22 @@ class TestEmbeddingTable:
         with pytest.raises(EmbeddingFormatError):
             EmbeddingTable(rows=np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("column", [[0.0, np.nan], [1.0, -np.inf], [np.inf, np.inf]])
+    def test_non_finite_value_is_data_error(self, column):
+        # the check reads the float64 half-norms, before the per-dimension
+        # range, where the last column's inf - inf would warn
+        with pytest.raises(EmbeddingDataError):
+            EmbeddingTable(rows=np.array(column).reshape(-1, 1))
+
+    @pytest.mark.parametrize("token_id", [-1, 3])
+    def test_out_of_range_id_is_contract_error(self, token_id):
+        # a negative id must not wrap around to the last token
+        vocab = make_vocab([b"a", b"b", b"c"])
+        table = EmbeddingTable([[0.0], [1.0], [2.0]])
+        for lookup in (table.vector, vocab.token_bytes, vocab.token_text):
+            with pytest.raises(ContractError, match="out of range"):
+                lookup(token_id)
+
     def test_constructor_leaves_callers_array_alone(self):
         a = np.zeros((2, 2), dtype=np.float32)
         table = EmbeddingTable(a)
