@@ -15,7 +15,7 @@ from typing import Callable, Protocol, Sequence
 
 from .errors import AttackParseError, ContractError, DpTextError
 from .pipeline import LlmClient, run_inference
-from .vocab import EmbeddingTable, TokenIdSeq
+from .vocab import EmbeddingTable, _require_id
 
 DEFAULT_CHUNK_SIZE = 64
 
@@ -109,37 +109,53 @@ class AttackReport:
         return f"asr={self.asr:.4f} privacy={self.privacy:.4f} k={k} eps={eps}"
 
 
+def _check_lengths(perturbed: Sequence, originals: Sequence) -> None:
+    if len(perturbed) != len(originals):
+        raise ContractError(
+            f"length mismatch: {len(perturbed)} perturbed vs {len(originals)} originals"
+        )
+
+
+def _score(
+    kind: str, original_field: str, originals: Sequence, candidates: Sequence[list],
+    error: str | None = None, **meta,
+) -> AttackReport:
+    """The report of an attack that gave ``candidates[pos]`` for each position
+    it answered before it finished, or failed with ``error``.
+
+    A position is recovered iff its original is among its candidates; one the
+    attack never answered is not recovered and has no candidates. Each
+    original goes in the ``original_field`` of its TokenOutcome.
+    """
+    outcomes = []
+    for pos, orig in enumerate(originals):
+        cands = candidates[pos] if pos < len(candidates) else []
+        outcomes.append(TokenOutcome(
+            position=pos, recovered=orig in cands, candidates=cands, **{original_field: orig}
+        ))
+    return AttackReport.from_outcomes(kind, outcomes, error is not None, error, meta)
+
+
 def embedding_inversion(
-    perturbed: TokenIdSeq,
-    originals: TokenIdSeq,
+    perturbed: Sequence[int],
+    originals: Sequence[int],
     table: EmbeddingTable,
     k: int,
 ) -> AttackReport:
     """Nearest-neighbor inversion: a position is recovered when the original
     token is among the k tokens closest to the perturbed token's embedding
     (ties broken by smaller id)."""
-    if len(perturbed) != len(originals):
-        raise ContractError(
-            f"length mismatch: {len(perturbed)} perturbed vs {len(originals)} originals"
-        )
+    _check_lengths(perturbed, originals)
     if not 1 <= k <= len(table):
         raise ContractError(f"k must be in [1, {len(table)}], got {k}")
-    neighbor_cache: dict[int, list[int]] = {}
-    outcomes: list[TokenOutcome] = []
-    for pos, (pid, oid) in enumerate(zip(perturbed, originals)):
-        cands = neighbor_cache.get(pid)
-        if cands is None:
-            cands = [int(t) for t in table.nearest(table.vector(pid), k)]
-            neighbor_cache[pid] = cands
-        outcomes.append(
-            TokenOutcome(
-                position=pos,
-                recovered=oid in cands,
-                original_id=int(oid),
-                candidates=cands,
-            )
-        )
-    return AttackReport.from_outcomes("inversion", outcomes, meta={"k": k})
+    originals = [int(t) for t in originals]
+    for t in originals:
+        _require_id(t, len(table))
+    nearest = {
+        pid: [int(t) for t in table.nearest(table.vector(pid), k)]
+        for pid in dict.fromkeys(perturbed)
+    }
+    return _score("inversion", "original_id", originals, [nearest[p] for p in perturbed], k=k)
 
 
 def _render_token_list(tokens: Sequence[str]) -> str:
@@ -276,40 +292,21 @@ def gpt_inference_attack(
 ) -> AttackReport:
     """LLM token recovery: a position is recovered when the predicted string
     equals the original token exactly. Long inputs are queried in chunks."""
-    if len(perturbed_tokens) != len(original_tokens):
-        raise ContractError(
-            f"length mismatch: {len(perturbed_tokens)} perturbed vs "
-            f"{len(original_tokens)} originals"
-        )
+    _check_lengths(perturbed_tokens, original_tokens)
     if chunk_size < 1:
         raise ContractError(f"chunk_size must be >= 1, got {chunk_size}")
-    predictions: list[str] = []
+    predictions: list[list[str]] = []
+    error = None
     try:
         for start in range(0, len(perturbed_tokens), chunk_size):
             chunk = list(perturbed_tokens[start : start + chunk_size])
-            if not chunk:
-                continue
-            prompt = build_gpt_attack_prompt(chunk)
-            body = run_inference(client, prompt, sleep=sleep)
-            predictions.extend(parse_gpt_attack_response(body, len(chunk)))
+            body = run_inference(client, build_gpt_attack_prompt(chunk), sleep=sleep)
+            predictions.extend([p] for p in parse_gpt_attack_response(body, len(chunk)))
     except DpTextError as exc:
-        outcomes = [
-            TokenOutcome(position=pos, recovered=False, original_text=orig)
-            for pos, orig in enumerate(original_tokens)
-        ]
-        return AttackReport.from_outcomes(
-            "gpt", outcomes, failed=True, error=str(exc), meta={"chunk_size": chunk_size}
-        )
-    outcomes = [
-        TokenOutcome(
-            position=pos,
-            recovered=pred == orig,
-            original_text=orig,
-            candidates=[pred],
-        )
-        for pos, (pred, orig) in enumerate(zip(predictions, original_tokens))
-    ]
-    return AttackReport.from_outcomes("gpt", outcomes, meta={"chunk_size": chunk_size})
+        error = str(exc)
+    return _score(
+        "gpt", "original_text", original_tokens, predictions, error, chunk_size=chunk_size
+    )
 
 
 def mask_attack(
@@ -321,35 +318,17 @@ def mask_attack(
     """Masked-LM recovery: mask each position of the perturbed sequence in
     turn; recovered when the original token is among the client's top-k
     candidates."""
-    if len(perturbed_tokens) != len(original_tokens):
-        raise ContractError(
-            f"length mismatch: {len(perturbed_tokens)} perturbed vs "
-            f"{len(original_tokens)} originals"
-        )
+    _check_lengths(perturbed_tokens, original_tokens)
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    outcomes: list[TokenOutcome] = []
+    top: list[list[str]] = []
+    error = None
     try:
-        for pos, orig in enumerate(original_tokens):
+        for pos in range(len(original_tokens)):
             candidates = list(client.predict(list(perturbed_tokens), pos))
             if not candidates:
                 raise ContractError("masked-LM client returned no candidates")
-            top = candidates[:k]
-            outcomes.append(
-                TokenOutcome(
-                    position=pos,
-                    recovered=orig in top,
-                    original_text=orig,
-                    candidates=top,
-                )
-            )
+            top.append(candidates[:k])
     except Exception as exc:  # client is externally supplied
-        rest = [
-            TokenOutcome(position=pos, recovered=False, original_text=orig)
-            for pos, orig in enumerate(original_tokens)
-            if pos >= len(outcomes)
-        ]
-        return AttackReport.from_outcomes(
-            "mask", outcomes + rest, failed=True, error=str(exc), meta={"k": k}
-        )
-    return AttackReport.from_outcomes("mask", outcomes, meta={"k": k})
+        error = str(exc)
+    return _score("mask", "original_text", original_tokens, top, error, k=k)

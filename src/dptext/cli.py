@@ -149,11 +149,7 @@ def cmd_attack(cfg: AppConfig, args) -> int:
     k = cfg.attack_k
     if args.attack_kind == "inversion":
         _, table = _load_corpus(cfg)
-
-        def attack(ids, original_ids):
-            return attacks_mod.embedding_inversion(
-                TokenIdSeq(ids=tuple(ids)), TokenIdSeq(ids=tuple(original_ids)), table, k
-            )
+        attack = functools.partial(attacks_mod.embedding_inversion, table=table, k=k)
     else:
         cfg.require_paths("vocab")
         vocab = load_vocabulary(cfg.vocab_path, merges_path=cfg.merges_path)
@@ -231,7 +227,7 @@ def cmd_metrics(cfg: AppConfig, args) -> int:
         mean_edit = sum(dists) / len(dists) if dists else None
         rows.append((record.run_id, div_product, div_sum, mean_edit, args.mauve))
         report = metrics_mod.MetricReport(
-            diversity=div_product if div_product is not None else 1.0,
+            diversity=div_product,
             diversity_formula="product",
             edit_distance=round(mean_edit) if mean_edit is not None else None,
             token_count=len(tokens),

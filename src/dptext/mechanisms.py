@@ -388,13 +388,16 @@ def write_perturbed_jsonl(
 
 def _record_problem(record) -> str | None:
     """Why a parsed line is not a perturbed-document record; None when it is.
-    ``original_ids`` may be absent, since a redacted file omits it."""
+    ``original_ids`` may be absent, since a redacted file omits it, and so may
+    ``config``."""
     if not isinstance(record, dict) or "doc_index" not in record:
         return "not an object with a doc_index"
     for key, default in (("perturbed_ids", None), ("original_ids", [])):
         ids = record.get(key, default)
         if not (isinstance(ids, list) and all(type(t) is int for t in ids)):
             return f"{key} is not a list of integers"
+    if not isinstance(record.get("config", {}), dict):
+        return "config is not an object"
     return None
 
 

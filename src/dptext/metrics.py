@@ -102,11 +102,12 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
 class MetricReport:
     """Utility metrics for one generation, JSON-serializable.
 
-    ``mauve`` is reserved for an externally computed value and stays None
-    unless one is supplied.
+    ``diversity`` is None when there is no text to measure. ``mauve`` is
+    reserved for an externally computed value and stays None unless one is
+    supplied.
     """
 
-    diversity: float
+    diversity: float | None
     diversity_formula: str
     coherence: float | None = None
     edit_distance: int | None = None
@@ -116,10 +117,11 @@ class MetricReport:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.diversity_formula == "product" and not 0.0 <= self.diversity <= 1.0:
-            raise ContractError(f"product diversity out of [0,1]: {self.diversity}")
-        if self.diversity_formula == "sum" and not 0.0 <= self.diversity <= 3.0:
-            raise ContractError(f"sum diversity out of [0,3]: {self.diversity}")
+        if self.diversity is not None:
+            if self.diversity_formula == "product" and not 0.0 <= self.diversity <= 1.0:
+                raise ContractError(f"product diversity out of [0,1]: {self.diversity}")
+            if self.diversity_formula == "sum" and not 0.0 <= self.diversity <= 3.0:
+                raise ContractError(f"sum diversity out of [0,3]: {self.diversity}")
         if self.coherence is not None and not -1.0 - 1e-12 <= self.coherence <= 1.0 + 1e-12:
             raise ContractError(f"coherence out of [-1,1]: {self.coherence}")
         if self.edit_distance is not None and self.edit_distance < 0:

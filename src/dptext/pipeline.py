@@ -247,11 +247,36 @@ def save_run_record(record: RunRecord, runs_dir) -> str:
     return path
 
 
+# the types of the fields that readers of a loaded record rely on
+_RECORD_FIELD_TYPES = (
+    ("run_id", str, "a string"),
+    ("raw_document", str, "a string"),
+    ("config", dict, "an object"),
+    ("perturbed_documents", list, "a list"),
+    ("restored_text", (str, type(None)), "a string or null"),
+)
+
+
+def _run_record_problem(record: RunRecord) -> str | None:
+    """Why a loaded record's fields cannot be read; None when they can."""
+    for name, kind, what in _RECORD_FIELD_TYPES:
+        if not isinstance(getattr(record, name), kind):
+            return f"{name} is not {what}"
+    if not all(isinstance(p, dict) and isinstance(p.get("text"), str)
+               for p in record.perturbed_documents):
+        return "a perturbed document has no text"
+    return None
+
+
 def load_run_record(path) -> RunRecord:
     try:
-        return RunRecord.from_dict(json.loads(read_text(path, RecordFileError)))
+        record = RunRecord.from_dict(json.loads(read_text(path, RecordFileError)))
     except (json.JSONDecodeError, TypeError) as exc:  # TypeError: fields missing
         raise RecordFileError(f"{path}: not a run record: {exc}") from None
+    problem = _run_record_problem(record)
+    if problem is not None:
+        raise RecordFileError(f"{path}: not a run record: {problem}")
+    return record
 
 
 def _utc_now() -> str:
@@ -326,7 +351,7 @@ def run_privinfer(
         timestamps=timestamps,
     )
     if failures:
-        record.status, record.error = "remote_failed", "; ".join(sorted(failures))
+        record.status, record.error = "remote_failed", "; ".join(failures)
     else:
         try:
             record.restored_text = run_inference(

@@ -328,6 +328,21 @@ class TestGptInferenceAttack:
         report = gpt_inference_attack(["a"], ["a"], Garbage())
         assert report.failed
 
+    def test_failure_keeps_the_chunks_answered_before_it(self):
+        class FailsOnSecondChunk(ScriptedGptClient):
+            def generate(self, prompt):
+                if self.calls == 1:
+                    raise EndpointError("down")
+                return super().generate(prompt)
+
+        report = gpt_inference_attack(
+            ["a", "b", "c"], ["a", "b", "c"], FailsOnSecondChunk({}), chunk_size=2
+        )
+        assert report.failed and report.error == "down"
+        assert [o.candidates for o in report.per_token] == [["a"], ["b"], []]
+        assert [o.recovered for o in report.per_token] == [True, True, False]
+        assert report.asr == pytest.approx(2 / 3)
+
     def test_length_mismatch_contract(self):
         with pytest.raises(ContractError):
             gpt_inference_attack(["a"], ["a", "b"], ScriptedGptClient({}))
@@ -405,3 +420,78 @@ class TestAttackReport:
             "gpt", [TokenOutcome(position=0, recovered=True, original_text="x")]
         )
         json.dumps(report.to_dict())
+
+
+class _Down(Exception):
+    pass
+
+
+class _ScriptedAnswers:
+    """Answers each gpt chunk or masked position from ``answers`` (one
+    candidate list per position) and raises once ``fail_at`` positions are
+    reached; a gpt chunk that would reach past them raises whole."""
+
+    def __init__(self, answers, fail_at, chunk_size=1):
+        self.answers, self.fail_at, self.chunk_size = answers, fail_at, chunk_size
+        self.next = 0
+
+    def generate(self, prompt):
+        start, self.next = self.next, self.next + self.chunk_size
+        if self.fail_at is not None and self.next > self.fail_at:
+            raise EndpointError("down")
+        rows = self.answers[start : self.next]
+        return "[" + ", ".join(_render_token_list(r[:1]) for r in rows) + "]"
+
+    def predict(self, tokens, masked_position):
+        if self.fail_at is not None and masked_position >= self.fail_at:
+            raise _Down("down")
+        return self.answers[masked_position]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.lists(st.lists(st.sampled_from("tuvw"), min_size=1, max_size=3),
+                 min_size=n, max_size=n),
+        st.none() | st.integers(0, n - 1),
+        st.integers(1, 4),
+    )),
+    st.sampled_from(["inversion", "gpt", "mask"]),
+)
+def test_one_scoring_rule_for_every_attack(case, kind):
+    # every attack: one outcome per original; recovered exactly when the
+    # original is among the position's candidates; a position left unanswered
+    # by a failure is a miss with no candidates; failed iff the client failed
+    perturbed, original_ids, answers, fail_at, chunk = case
+    _, table = line_vocab_table([0.0, 1.0, 3.0, 7.0])
+    originals = ["tuvw"[t] for t in original_ids]
+    failed = fail_at is not None
+    if kind == "inversion":
+        failed = False
+        report = embedding_inversion(perturbed, original_ids, table, k=2)
+        originals = original_ids
+        answered = len(originals)
+        said = [table.nearest(table.vector(p), 2).tolist() for p in perturbed]
+    elif kind == "gpt":
+        client = _ScriptedAnswers(answers, fail_at, chunk)
+        report = gpt_inference_attack(["p"] * len(originals), originals, client,
+                                      chunk_size=chunk)
+        answered = fail_at // chunk * chunk if failed else len(originals)
+        said = [a[:1] for a in answers]
+    else:
+        report = mask_attack(["p"] * len(originals), originals,
+                             _ScriptedAnswers(answers, fail_at), k=2)
+        answered = fail_at if failed else len(originals)
+        said = [a[:2] for a in answers]
+    assert len(report.per_token) == len(originals)
+    assert report.failed == failed and (report.error is not None) == failed
+    for pos, (orig, outcome) in enumerate(zip(originals, report.per_token)):
+        assert outcome.position == pos
+        if pos < answered:
+            assert outcome.candidates == said[pos]
+            assert outcome.recovered == (orig in outcome.candidates)
+        else:
+            assert not outcome.recovered and outcome.candidates == []
+    assert report.asr == sum(o.recovered for o in report.per_token) / len(originals)

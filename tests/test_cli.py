@@ -460,6 +460,28 @@ class TestMetricsCommand:
         assert reports[0]["mauve"] is None  # populated only from an external value
         assert reports[0]["extra"]["seed"] == 34
 
+    def test_failed_run_reports_no_diversity(self, corpus, tmp_path, capsys):
+        # a run with no restored text has no diversity: '-' in the table and
+        # null in the JSON, never the best possible score
+        vocab, emb, doc = corpus
+        runs = tmp_path / "runs"
+        run_cli([
+            "--seed", 36, "--mock", "--quiet", "run", "--input", doc,
+            "--vocab", vocab, "--embeddings", emb, "--runs-dir", runs,
+        ])
+        path = next(runs.glob("*.json"))
+        record = json.loads(path.read_text())
+        record.update(status="restore_failed", error="down", restored_text=None)
+        path.write_text(json.dumps(record))
+        out = tmp_path / "metrics.json"
+        capsys.readouterr()
+        assert run_cli(["--quiet", "metrics", str(path), "--out", out]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[1:3] == ["-", "-"]
+        (report,) = json.loads(out.read_text())
+        assert report["diversity"] is None and report["extra"]["diversity_sum"] is None
+        assert report["token_count"] == 0
+
     def test_failed_report_write_keeps_previous_file(self, corpus, tmp_path,
                                                      monkeypatch):
         vocab, emb, doc = corpus
@@ -494,11 +516,31 @@ def _bad_input_argv(case, corpus, tmp_path):
     no_ids = tmp_path / "no_ids.jsonl"
     no_ids.write_text('{"doc_index": 1, "perturbed_ids": [1], "original_ids": [1]}\n'
                       '{"doc_index": 2, "original_ids": [1]}\n')
+    config_number = tmp_path / "config_number.jsonl"
+    config_number.write_text('{"doc_index": 1, "perturbed_ids": [1], "original_ids": [1], '
+                             '"config": 5}\n')
+    config_null = tmp_path / "config_null.jsonl"
+    config_null.write_text('{"doc_index": 1, "perturbed_ids": [1], "original_ids": [1], '
+                           '"config": null}\n')
     record = tmp_path / "record.json"
     if case == "metrics-not-json":
         record.write_text("{not json")
     elif case == "metrics-incomplete":
         record.write_text('{"run_id": "r1"}')
+    elif case.startswith("metrics-"):
+        fields = {
+            "run_id": "r1", "raw_document": "abc", "instruction": "i",
+            "restoration_instruction": "r", "config": {"seed": 1},
+            "perturbed_documents": [{"doc_index": 1, "ids": [0], "text": "a"}],
+            "generations": ["g"], "restored_text": "x y", "status": "ok",
+        }
+        fields.update({
+            "metrics-document-no-text": {"perturbed_documents": [{"doc_index": 1, "ids": [0]}]},
+            "metrics-restored-not-text": {"restored_text": 5},
+            "metrics-config-not-object": {"config": [1]},
+            "metrics-documents-not-list": {"perturbed_documents": 5},
+        }.get(case, {}))
+        record.write_text(json.dumps(fields))
     return {
         "perturb-missing": (["perturb", "--input", missing, "--out", tmp_path / "o.jsonl",
                              *paths], "missing.txt"),
@@ -514,17 +556,27 @@ def _bad_input_argv(case, corpus, tmp_path):
                                *paths], "number.jsonl: line 1"),
         "attack-no-perturbed-ids": (["attack", "--perturbed", no_ids, "--kind", "inversion",
                                      *paths], "no_ids.jsonl: line 2"),
+        "attack-config-number": (["attack", "--perturbed", config_number, "--kind",
+                                  "inversion", *paths], "config_number.jsonl: line 1"),
+        "attack-config-null": (["--mock", "attack", "--perturbed", config_null, "--kind",
+                                "gpt", *paths], "config_null.jsonl: line 1"),
         "metrics-missing": (["metrics", missing], "missing.txt"),
         "metrics-not-json": (["metrics", record], "record.json"),
         "metrics-incomplete": (["metrics", record], "record.json: not a run record"),
+        "metrics-document-no-text": (["metrics", record], "record.json: not a run record"),
+        "metrics-restored-not-text": (["metrics", record], "record.json: not a run record"),
+        "metrics-config-not-object": (["metrics", record], "record.json: not a run record"),
+        "metrics-documents-not-list": (["metrics", record], "record.json: not a run record"),
     }[case]
 
 
 @pytest.mark.parametrize("case", [
     "perturb-missing", "run-missing", "perturb-not-utf8", "run-not-utf8",
     "attack-missing", "attack-truncated-line", "attack-not-object",
-    "attack-no-perturbed-ids",
+    "attack-no-perturbed-ids", "attack-config-number", "attack-config-null",
     "metrics-missing", "metrics-not-json", "metrics-incomplete",
+    "metrics-document-no-text", "metrics-restored-not-text", "metrics-config-not-object",
+    "metrics-documents-not-list",
 ])
 def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
     # an unreadable or malformed input file is the user's error: exit 2 and
@@ -533,7 +585,7 @@ def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err, err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, message", [
@@ -558,14 +610,18 @@ def test_zero_count_flag_is_an_error_not_unset(command, message, corpus, tmp_pat
 
 
 @pytest.mark.parametrize("kind", ["inversion", "gpt"])
-@pytest.mark.parametrize("token_id", [-1, 10])
-def test_out_of_range_token_id_is_an_error_line(kind, token_id, corpus, tmp_path, capsys):
-    # ids index the ten-token table and vocabulary; -1 must not mean the last
+@pytest.mark.parametrize("field, token_id", [
+    ("perturbed_ids", -1), ("perturbed_ids", 10), ("original_ids", 99),
+], ids=["-1", "10", "original-99"])
+def test_out_of_range_token_id_is_an_error_line(kind, field, token_id, corpus, tmp_path,
+                                                capsys):
+    # ids index the ten-token table and vocabulary; -1 must not mean the last,
+    # and an original outside the table is an error, not a miss
     vocab, emb, _ = corpus
     path = tmp_path / "p.jsonl"
-    path.write_text(json.dumps(
-        {"doc_index": 1, "perturbed_ids": [0, token_id], "original_ids": [0, 1]}
-    ) + "\n")
+    record = {"doc_index": 1, "perturbed_ids": [0, 1], "original_ids": [0, 1]}
+    record[field] = [0, token_id]
+    path.write_text(json.dumps(record) + "\n")
     code = run_cli(["--mock", "attack", "--perturbed", path, "--kind", kind,
                     "--k", 2, "--vocab", vocab, "--embeddings", emb])
     err = capsys.readouterr().err

@@ -238,6 +238,18 @@ class TestRunPrivinfer:
         assert record.restored_text is None
         assert (tmp_path / f"{record.run_id}.json").exists()
 
+    def test_remote_failure_error_follows_document_order(self):
+        # with ten or more documents, string order would put 10 before 2
+        vocab, table, cfg = self._setup()
+        record = run_privinfer(
+            "t0", vocab, table, cfg, 12,
+            MockLlmClient(always_raise=EndpointError("down")),
+            MockLlmClient(default="r"),
+            Rng(1),
+            sleep=no_sleep,
+        )
+        assert record.error == "; ".join(f"document {j}: down" for j in range(1, 13))
+
     def test_restore_failure_keeps_generations(self):
         vocab, table, cfg = self._setup()
         record = run_privinfer(
