@@ -75,11 +75,9 @@ from .verify import (
 )
 from .vocab import (
     EmbeddingTable,
-    TokenIdSeq,
     Vocabulary,
     detokenize,
     detokenize_text,
-    distance,
     load_embeddings,
     load_merges,
     load_vocabulary,

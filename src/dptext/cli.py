@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import logging
 import math
 import os
@@ -25,7 +24,7 @@ from . import verify as verify_mod
 from .config import AppConfig, apply_mechanism_overrides, load_app_config, sensitivity
 from .dpcore import Rng
 from .errors import ConfigError, ContractError, DpTextError
-from .fileio import atomic_write, read_text
+from .fileio import read_text, write_json
 from .mechanisms import (
     KINDS,
     SCORING_MODES,
@@ -40,13 +39,7 @@ from .pipeline import (
     run_privinfer,
     save_run_record,
 )
-from .vocab import (
-    TokenIdSeq,
-    detokenize_text,
-    load_embeddings,
-    load_vocabulary,
-    tokenize,
-)
+from .vocab import detokenize_text, load_embeddings, load_vocabulary, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -106,8 +99,7 @@ def cmd_run(cfg: AppConfig, args) -> int:
     vocab, table = _load_corpus(cfg)
     text = read_text(args.input, ConfigError)
     if args.truncate_paper_setup:
-        head = TokenIdSeq(ids=tuple(tokenize(text, vocab))[:50])
-        text = detokenize_text(head, vocab)
+        text = detokenize_text(tokenize(text, vocab)[:50], vocab)
     if args.mock:
         remote = MockLlmClient(echo=True)
         local = MockLlmClient(default=MOCK_RESTORED_TEXT)
@@ -201,9 +193,7 @@ def cmd_attack(cfg: AppConfig, args) -> int:
             "aggregate": {"asr": overall.asr, "privacy": overall.privacy},
             "per_document": [r.to_dict() for r in reports],
         }
-        with atomic_write(args.out) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, payload)
         _say(args, f"wrote attack report to {args.out}")
     return 1 if any(r.failed for r in reports) else 0
 
@@ -245,9 +235,7 @@ def cmd_metrics(cfg: AppConfig, args) -> int:
     for run_id, dp, ds, ed, mv in rows:
         print(f"{run_id:<40} {fmt(dp):>10} {fmt(ds):>10} {fmt(ed):>10} {fmt(mv):>8}")
     if args.out:
-        with atomic_write(args.out) as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, reports)
         _say(args, f"wrote metric reports to {args.out}")
     return 0
 

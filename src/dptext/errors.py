@@ -54,7 +54,7 @@ class AttackParseError(DpTextError):
 
 
 class RecordFileError(DpTextError):
-    """A perturbed-documents file or a run record cannot be read or parsed."""
+    """A record file cannot be read or parsed, or an output file cannot be written."""
 
 
 class ConfigError(DpTextError):

@@ -32,7 +32,7 @@ from .dpcore import (
 )
 from .errors import ContractError, RecordFileError
 from .fileio import atomic_write, read_text
-from .vocab import EmbeddingTable, TokenIdSeq
+from .vocab import EmbeddingTable
 
 KINDS = ("rantext", "topk", "global")
 SCORING_MODES = ("def4-consistent", "paper-final")
@@ -105,10 +105,6 @@ class MechanismConfig:
     def to_snapshot(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "MechanismConfig":
-        return cls(**{k: snapshot[k] for k in cls.__dataclass_fields__ if k in snapshot})
-
 
 @dataclass
 class AdjacencySample:
@@ -130,8 +126,8 @@ class AdjacencySample:
 class PerturbedDocument:
     """One perturbed copy of a document, same length as the original."""
 
-    original_ids: TokenIdSeq
-    perturbed_ids: TokenIdSeq
+    original_ids: tuple[int, ...]
+    perturbed_ids: tuple[int, ...]
     doc_index: int
     adjacency_sizes: tuple[int, ...]
 
@@ -317,7 +313,7 @@ def _perturb_origin(
 
 
 def perturb_document(
-    doc: TokenIdSeq,
+    doc: Sequence[int],
     table: EmbeddingTable,
     cfg: MechanismConfig,
     n_docs: int,
@@ -332,6 +328,7 @@ def perturb_document(
     """
     if n_docs < 1:
         raise ContractError(f"n_docs must be >= 1, got {n_docs}")
+    doc = tuple(doc)
     positions: dict[int, list[int]] = {}
     for i, origin in enumerate(doc):
         positions.setdefault(origin, []).append(i)
@@ -347,7 +344,7 @@ def perturb_document(
     return [
         PerturbedDocument(
             original_ids=doc,
-            perturbed_ids=TokenIdSeq(ids=tuple(perturbed[j])),
+            perturbed_ids=tuple(perturbed[j]),
             doc_index=j + 1,
             adjacency_sizes=tuple(sizes[j]),
         )

@@ -32,7 +32,7 @@ from .errors import (
     RecordFileError,
     TransientEndpointError,
 )
-from .fileio import atomic_write, read_text
+from .fileio import cannot_write, read_text, write_json
 from .mechanisms import MechanismConfig, perturb_document
 from .vocab import EmbeddingTable, Vocabulary, detokenize_text, tokenize
 
@@ -239,11 +239,10 @@ class RunRecord:
 def save_run_record(record: RunRecord, runs_dir) -> str:
     """Persist a run as pretty-printed JSON named <run_id>.json, replacing
     any earlier file of that name only once the new one is complete."""
-    os.makedirs(runs_dir, exist_ok=True)
+    with cannot_write(runs_dir):
+        os.makedirs(runs_dir, exist_ok=True)
     path = os.path.join(str(runs_dir), f"{record.run_id}.json")
-    with atomic_write(path) as fh:
-        json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, record.to_dict())
     return path
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,28 +64,6 @@ def grid_layout(xs: Sequence[float], ys: Sequence[float]) -> EmbeddingTable:
     return EmbeddingTable(np.asarray(pts, dtype=np.float64))
 
 
-def _score_matrix(score_table) -> np.ndarray:
-    """Normalize a score table to a (inputs x candidates) float array."""
-    if isinstance(score_table, Mapping):
-        inputs = sorted({x for x, _ in score_table})
-        candidates = sorted({y for _, y in score_table})
-        matrix = np.empty((len(inputs), len(candidates)))
-        for i, x in enumerate(inputs):
-            for j, y in enumerate(candidates):
-                if (x, y) not in score_table:
-                    raise ContractError(
-                        f"inconsistent candidate sets: missing score for ({x!r}, {y!r})"
-                    )
-                matrix[i, j] = score_table[(x, y)]
-        if len(score_table) != matrix.size:
-            raise ContractError("inconsistent candidate sets: extra entries present")
-        return matrix
-    matrix = np.asarray(score_table, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-        raise ContractError("score table must be 2-D (inputs x candidates)")
-    return matrix
-
-
 def _require_epsilon(epsilon: float) -> None:
     # an infinite epsilon makes every log-probability ratio NaN
     if not 0 <= epsilon < math.inf:
@@ -99,7 +77,9 @@ def check_em_dp(score_table, epsilon: float) -> VerificationResult:
     log-probability ratio over all input pairs and outputs; passes iff it
     does not exceed epsilon. Scores must lie in [0, 1] (sensitivity 1).
     """
-    matrix = _score_matrix(score_table)
+    matrix = np.asarray(score_table, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
+        raise ContractError("score table must be 2-D (inputs x candidates)")
     if not np.all((matrix >= 0) & (matrix <= 1)):
         raise ContractError("scores must lie in [0, 1]")
     _require_epsilon(epsilon)

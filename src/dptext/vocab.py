@@ -21,6 +21,7 @@ import heapq
 import itertools
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -84,25 +85,9 @@ class Vocabulary:
     def token_id(self, token: bytes) -> int | None:
         return self._ids.get(token)
 
-    def token_text(self, token_id: int, errors: str = "replace") -> str:
-        """Decode one token's bytes as UTF-8 (lossy by default)."""
-        return self.token_bytes(token_id).decode("utf-8", errors=errors)
-
-
-@dataclass(frozen=True)
-class TokenIdSeq:
-    """An ordered sequence of token ids."""
-
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.ids)
-
-    def __getitem__(self, i):
-        return self.ids[i]
+    def token_text(self, token_id: int) -> str:
+        """Decode one token's bytes as UTF-8, lossily."""
+        return self.token_bytes(token_id).decode("utf-8", errors="replace")
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,15 +268,6 @@ def _k_smallest(key: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return np.sort(np.concatenate([below, ties])), float(kth)
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two equal-dimension vectors."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ContractError(f"dimension mismatch: {av.shape} vs {bv.shape}")
-    return float(np.linalg.norm(av - bv))
-
-
 def _records(path, magic: str, n_header: int, n_fields: int, error, noun: str):
     """Stream a line-record file: yield the ``n_header`` ints after ``magic``
     on line 1, then ``(line number, fields)`` for each body line, split at
@@ -427,7 +403,7 @@ def load_embeddings(path, vocab: Vocabulary) -> EmbeddingTable:
     return EmbeddingTable(rows)
 
 
-def tokenize(text: str | bytes, vocab: Vocabulary) -> TokenIdSeq:
+def tokenize(text: str | bytes, vocab: Vocabulary) -> tuple[int, ...]:
     """Tokenize text (or raw bytes) against the vocabulary.
 
     Uses BPE merge ranks when the vocabulary carries them, else greedy
@@ -436,13 +412,13 @@ def tokenize(text: str | bytes, vocab: Vocabulary) -> TokenIdSeq:
     """
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
     if not data:
-        return TokenIdSeq(ids=())
+        return ()
     if vocab.merge_ranks:
         return _tokenize_bpe(data, vocab)
     return _tokenize_greedy(data, vocab)
 
 
-def _tokenize_greedy(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
+def _tokenize_greedy(data: bytes, vocab: Vocabulary) -> tuple[int, ...]:
     ids: list[int] = []
     i = 0
     n = len(data)
@@ -459,10 +435,10 @@ def _tokenize_greedy(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
             raise TokenizationError(
                 f"no vocabulary token covers byte {data[i:i+1]!r}", offset=i
             )
-    return TokenIdSeq(ids=tuple(ids))
+    return tuple(ids)
 
 
-def _tokenize_bpe(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
+def _tokenize_bpe(data: bytes, vocab: Vocabulary) -> tuple[int, ...]:
     """Merge the adjacent pair of lowest rank, leftmost first, until none has
     a rank, as in HuggingFace ``tokenizers``' ``Word::merge_all``.
 
@@ -511,15 +487,15 @@ def _tokenize_bpe(data: bytes, vocab: Vocabulary) -> TokenIdSeq:
             )
         ids.append(tid)
         offset = end[offset]
-    return TokenIdSeq(ids=tuple(ids))
+    return tuple(ids)
 
 
-def detokenize(seq: TokenIdSeq, vocab: Vocabulary) -> bytes:
+def detokenize(seq: Sequence[int], vocab: Vocabulary) -> bytes:
     """Concatenate token bytes; inverse of tokenize on coverable inputs."""
     return b"".join(vocab.token_bytes(tid) for tid in seq)
 
 
-def detokenize_text(seq: TokenIdSeq, vocab: Vocabulary, errors: str = "replace") -> str:
+def detokenize_text(seq: Sequence[int], vocab: Vocabulary) -> str:
     """Detokenize to a string. Perturbed sequences may concatenate into
-    invalid UTF-8, so decoding is lossy by default."""
-    return detokenize(seq, vocab).decode("utf-8", errors=errors)
+    invalid UTF-8, so decoding is lossy."""
+    return detokenize(seq, vocab).decode("utf-8", errors="replace")

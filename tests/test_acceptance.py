@@ -268,10 +268,8 @@ def test_00_inversion_consistency():
     # ties the trend measurement to the attack module: recovery computed by
     # embedding_inversion matches the nearest-neighbor sets used above
     table, _ = _clustered_table()
-    from dptext.vocab import TokenIdSeq
-
-    perturbed = TokenIdSeq(ids=(0, 15, 199))
-    originals = TokenIdSeq(ids=(0, 3, 42))
+    perturbed = (0, 15, 199)
+    originals = (0, 3, 42)
     report = embedding_inversion(perturbed, originals, table, k=10)
     nn = {t: set(int(i) for i in table.nearest(table.vector(t), 10))
           for t in (0, 15, 199)}

@@ -16,7 +16,7 @@ from dptext.attacks import (
     parse_gpt_attack_response,
 )
 from dptext.errors import AttackParseError, ContractError, EndpointError
-from dptext.vocab import EmbeddingTable, TokenIdSeq
+from dptext.vocab import EmbeddingTable
 
 from .conftest import line_vocab_table
 
@@ -64,15 +64,15 @@ class ScriptedGptClient:
 class TestEmbeddingInversion:
     def test_unperturbed_tokens_recovered_at_k1(self):
         _, table = line_vocab_table([0.0, 1.0, 5.0])
-        seq = TokenIdSeq(ids=(0, 1, 2))
+        seq = (0, 1, 2)
         report = embedding_inversion(seq, seq, table, k=1)
         assert report.asr == 1.0
         assert report.privacy == 0.0
 
     def test_k_equals_vocab_size_recovers_everything(self):
         _, table = line_vocab_table([0.0, 1.0, 5.0])
-        perturbed = TokenIdSeq(ids=(2, 2, 2))
-        originals = TokenIdSeq(ids=(0, 1, 2))
+        perturbed = (2, 2, 2)
+        originals = (0, 1, 2)
         report = embedding_inversion(perturbed, originals, table, k=3)
         assert report.asr == 1.0
 
@@ -81,7 +81,7 @@ class TestEmbeddingInversion:
         # so an original at 0 perturbed to 5 is not recovered at k=2
         _, table = line_vocab_table([0.0, 1.0, 5.0])
         report = embedding_inversion(
-            TokenIdSeq(ids=(2,)), TokenIdSeq(ids=(0,)), table, k=2
+            (2,), (0,), table, k=2
         )
         assert report.per_token[0].candidates == [2, 1]
         assert report.per_token[0].candidates == nearest_ids_oracle(
@@ -115,10 +115,10 @@ class TestEmbeddingInversion:
 
     def test_candidates_at_k_prefix_of_k_plus_one(self):
         _, table = line_vocab_table([0.0, 0.5, 1.2, 3.0, 4.5])
-        seq = TokenIdSeq(ids=(3,))
+        seq = (3,)
         previous = None
         for k in range(1, 6):
-            report = embedding_inversion(seq, TokenIdSeq(ids=(0,)), table, k=k)
+            report = embedding_inversion(seq, (0,), table, k=k)
             cands = report.per_token[0].candidates
             if previous is not None:
                 assert cands[: len(previous)] == previous
@@ -126,8 +126,8 @@ class TestEmbeddingInversion:
 
     def test_asr_non_decreasing_in_k(self):
         _, table = line_vocab_table([0.0, 0.5, 1.2, 3.0, 4.5])
-        perturbed = TokenIdSeq(ids=(1, 3, 4, 0))
-        originals = TokenIdSeq(ids=(0, 0, 2, 3))
+        perturbed = (1, 3, 4, 0)
+        originals = (0, 0, 2, 3)
         last = 0.0
         for k in range(1, 6):
             report = embedding_inversion(perturbed, originals, table, k=k)
@@ -138,18 +138,18 @@ class TestEmbeddingInversion:
         _, table = line_vocab_table([0.0, 1.0])
         with pytest.raises(ContractError):
             embedding_inversion(
-                TokenIdSeq(ids=(0,)), TokenIdSeq(ids=(0, 1)), table, k=1
+                (0,), (0, 1), table, k=1
             )
 
     def test_k_contract(self):
         _, table = line_vocab_table([0.0, 1.0])
         with pytest.raises(ContractError):
-            embedding_inversion(TokenIdSeq(ids=(0,)), TokenIdSeq(ids=(0,)), table, k=3)
+            embedding_inversion((0,), (0,), table, k=3)
 
     def test_duplicates_counted_with_multiplicity(self):
         _, table = line_vocab_table([0.0, 1.0, 5.0])
-        perturbed = TokenIdSeq(ids=(0, 0, 2, 2))
-        originals = TokenIdSeq(ids=(0, 0, 0, 0))
+        perturbed = (0, 0, 2, 2)
+        originals = (0, 0, 0, 0)
         report = embedding_inversion(perturbed, originals, table, k=1)
         assert report.asr == 0.5
         assert report.privacy == 0.5

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dptext
-import dptext.cli as cli
+import dptext.fileio as fileio
 import dptext.pipeline as pipeline
 from dptext.attacks import (
     build_gpt_attack_prompt,
@@ -397,7 +397,7 @@ class TestInversionPrivacyMonotoneInK:
         ])
         records = read_perturbed_jsonl(out)
         from dptext.attacks import embedding_inversion
-        from dptext.vocab import TokenIdSeq, load_embeddings, load_vocabulary
+        from dptext.vocab import load_embeddings, load_vocabulary
 
         v = load_vocabulary(vocab)
         table = load_embeddings(emb, v)
@@ -406,9 +406,7 @@ class TestInversionPrivacyMonotoneInK:
             recovered = total = 0
             for rec in records:
                 report = embedding_inversion(
-                    TokenIdSeq(ids=tuple(rec["perturbed_ids"])),
-                    TokenIdSeq(ids=tuple(rec["original_ids"])),
-                    table, k,
+                    tuple(rec["perturbed_ids"]), tuple(rec["original_ids"]), table, k,
                 )
                 recovered += sum(1 for o in report.per_token if o.recovered)
                 total += len(report.per_token)
@@ -522,6 +520,11 @@ def _bad_input_argv(case, corpus, tmp_path):
     config_null = tmp_path / "config_null.jsonl"
     config_null.write_text('{"doc_index": 1, "perturbed_ids": [1], "original_ids": [1], '
                            '"config": null}\n')
+    perturbed = tmp_path / "good.jsonl"
+    perturbed.write_text('{"doc_index": 1, "perturbed_ids": [1], "original_ids": [1]}\n')
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "runs_file").write_text("")
+    nodir = tmp_path / "nodir"
     record = tmp_path / "record.json"
     if case == "metrics-not-json":
         record.write_text("{not json")
@@ -567,6 +570,18 @@ def _bad_input_argv(case, corpus, tmp_path):
         "metrics-restored-not-text": (["metrics", record], "record.json: not a run record"),
         "metrics-config-not-object": (["metrics", record], "record.json: not a run record"),
         "metrics-documents-not-list": (["metrics", record], "record.json: not a run record"),
+        "perturb-out-missing-dir": (["perturb", "--input", doc, "--out", nodir / "o.jsonl",
+                                     *paths], "cannot write " + str(nodir / "o.jsonl")),
+        "perturb-out-is-dir": (["perturb", "--input", doc, "--out", tmp_path / "outdir",
+                                *paths], "cannot write " + str(tmp_path / "outdir")),
+        "attack-out-missing-dir": (["attack", "--perturbed", perturbed, "--kind", "inversion",
+                                    "--k", 2, "--out", nodir / "r.json", *paths],
+                                   "cannot write " + str(nodir / "r.json")),
+        "metrics-out-missing-dir": (["metrics", record, "--out", nodir / "m.json"],
+                                    "cannot write " + str(nodir / "m.json")),
+        "run-runs-dir-is-file": (["--mock", "run", "--input", doc, "--runs-dir",
+                                  tmp_path / "runs_file", *paths],
+                                 "cannot write " + str(tmp_path / "runs_file")),
     }[case]
 
 
@@ -576,16 +591,20 @@ def _bad_input_argv(case, corpus, tmp_path):
     "attack-no-perturbed-ids", "attack-config-number", "attack-config-null",
     "metrics-missing", "metrics-not-json", "metrics-incomplete",
     "metrics-document-no-text", "metrics-restored-not-text", "metrics-config-not-object",
-    "metrics-documents-not-list",
+    "metrics-documents-not-list", "perturb-out-missing-dir", "perturb-out-is-dir",
+    "attack-out-missing-dir", "metrics-out-missing-dir", "run-runs-dir-is-file",
 ])
 def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
-    # an unreadable or malformed input file is the user's error: exit 2 and
-    # one line naming the file, never a traceback
+    # an unreadable or malformed input file, or an output path that cannot be
+    # written, is the user's error: exit 2 and one line naming the file, never
+    # a traceback, and no temporary file left behind
     argv, names = _bad_input_argv(case, corpus, tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err, err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command, message", [
@@ -671,7 +690,7 @@ def _fail_json_dump(monkeypatch):
         fh.write('{"kind": "inver')
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dump=dump_then_fail))
+    monkeypatch.setattr(fileio, "json", types.SimpleNamespace(dump=dump_then_fail))
 
 
 class TestModuleEntryPoint:

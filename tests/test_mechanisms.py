@@ -26,7 +26,7 @@ from dptext.mechanisms import (
     topk_adjacency,
     write_perturbed_jsonl,
 )
-from dptext.vocab import EmbeddingTable, TokenIdSeq
+from dptext.vocab import EmbeddingTable
 
 from .conftest import (
     clustered_table,
@@ -126,10 +126,6 @@ class TestMechanismConfig:
         _, table = line_vocab_table([0.0, 1.0])
         cfg = MechanismConfig(laplace_sensitivity=2.5)
         assert cfg.sensitivity(table) == 2.5
-
-    def test_snapshot_round_trip(self):
-        cfg = MechanismConfig(kind="topk", epsilon_em=2.0, top_k=7)
-        assert MechanismConfig.from_snapshot(cfg.to_snapshot()) == cfg
 
 
 class TestRandomAdjacency:
@@ -415,12 +411,19 @@ class TestPerturbToken:
 class TestPerturbDocument:
     def test_shapes(self, rantext_cfg):
         _, table = line_vocab_table([0.0, 1.0, 2.0])
-        doc = TokenIdSeq(ids=(0, 1, 2, 1, 0))
+        doc = (0, 1, 2, 1, 0)
         docs = perturb_document(doc, table, rantext_cfg, 3, Rng(1))
         assert len(docs) == 3
         assert all(len(d.perturbed_ids) == 5 for d in docs)
         assert [d.doc_index for d in docs] == [1, 2, 3]
         assert all(len(d.adjacency_sizes) == 5 for d in docs)
+
+    def test_ids_are_stored_as_tuples(self, rantext_cfg):
+        # a list input is stored immutably, as the tuple of its ids
+        _, table = line_vocab_table([0.0, 1.0, 2.0])
+        for d in perturb_document([0, 2, 1], table, rantext_cfg, 2, Rng(1)):
+            assert d.original_ids == (0, 2, 1)
+            assert type(d.perturbed_ids) is tuple
 
     @pytest.mark.parametrize("kind", ["rantext", "topk", "global"])
     @pytest.mark.parametrize("origin", [-1, 3])
@@ -428,34 +431,34 @@ class TestPerturbDocument:
         _, table = line_vocab_table([0.0, 1.0, 2.0])
         cfg = MechanismConfig(kind=kind, epsilon_em=2.0, top_k=2)
         with pytest.raises(ContractError, match="out of range"):
-            perturb_document(TokenIdSeq(ids=(0, origin)), table, cfg, 2, Rng(1))
+            perturb_document((0, origin), table, cfg, 2, Rng(1))
 
     def test_huge_epsilon_reproduces_document(self):
         _, table = line_vocab_table([0.0, 1.0, 2.0])
         cfg = MechanismConfig(kind="rantext", epsilon_em=1e6, epsilon_lap=1.0)
-        doc = TokenIdSeq(ids=(2, 0, 1))
+        doc = (2, 0, 1)
         for d in perturb_document(doc, table, cfg, 3, Rng(8)):
-            assert d.perturbed_ids.ids == doc.ids
+            assert d.perturbed_ids == doc
 
     def test_same_seed_identical_different_docs_differ(self, rantext_cfg):
         _, table = line_vocab_table([0.0, 0.5, 1.0, 1.5, 2.0, 4.0])
-        doc = TokenIdSeq(ids=(0, 1, 2, 3, 4, 5) * 4)
+        doc = (0, 1, 2, 3, 4, 5) * 4
         a = perturb_document(doc, table, rantext_cfg, 2, Rng(21))
         b = perturb_document(doc, table, rantext_cfg, 2, Rng(21))
-        assert [d.perturbed_ids.ids for d in a] == [d.perturbed_ids.ids for d in b]
+        assert [d.perturbed_ids for d in a] == [d.perturbed_ids for d in b]
         # independent child streams: the two copies are generally different
-        assert a[0].perturbed_ids.ids != a[1].perturbed_ids.ids
+        assert a[0].perturbed_ids != a[1].perturbed_ids
 
     def test_empty_document(self, rantext_cfg):
         _, table = line_vocab_table([0.0, 1.0])
-        docs = perturb_document(TokenIdSeq(ids=()), table, rantext_cfg, 2, Rng(0))
+        docs = perturb_document((), table, rantext_cfg, 2, Rng(0))
         assert len(docs) == 2
         assert all(len(d.perturbed_ids) == 0 for d in docs)
 
     def test_n_docs_contract(self, rantext_cfg):
         _, table = line_vocab_table([0.0, 1.0])
         with pytest.raises(ContractError):
-            perturb_document(TokenIdSeq(ids=(0,)), table, rantext_cfg, 0, Rng(0))
+            perturb_document((0,), table, rantext_cfg, 0, Rng(0))
 
     @pytest.mark.parametrize("cfg", [
         MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.0),
@@ -475,7 +478,7 @@ class TestPerturbDocument:
                 return _method(self, vec, *args, **kwargs)
 
             monkeypatch.setattr(EmbeddingTable, name, counted)
-        doc = TokenIdSeq(ids=(3, 0, 3, 1, 0, 3, 2))
+        doc = (3, 0, 3, 1, 0, 3, 2)
         perturb_document(doc, table, cfg, 3, Rng(5))
         query = {"rantext": "within", "topk": "_nearest", "global": "distances_from"}
         assert sorted(calls.pop(query[cfg.kind])) == [0.0, 0.5, 1.0, 2.0]
@@ -484,7 +487,7 @@ class TestPerturbDocument:
     def test_order_independence_of_token_streams(self, rantext_cfg):
         # token i of copy j depends only on (seed, j, i), not on processing order
         _, table = line_vocab_table([0.0, 0.5, 1.0, 2.0])
-        doc = TokenIdSeq(ids=(0, 1, 2, 3))
+        doc = (0, 1, 2, 3)
         full = perturb_document(doc, table, rantext_cfg, 2, Rng(77))
         for j in (1, 2):
             for i, origin in enumerate(doc):
@@ -495,7 +498,7 @@ class TestPerturbDocument:
 class TestPrunedPerturbation:
     """perturb_document's screened range queries against full-row replays."""
 
-    DOC = TokenIdSeq(ids=(5, 900, 5, 4095, 17, 900, 2048, 5, 3333, 17, 1, 0))
+    DOC = (5, 900, 5, 4095, 17, 900, 2048, 5, 3333, 17, 1, 0)
 
     def _assert_replays(self, doc, table, cfg, seed):
         docs = perturb_document(doc, table, cfg, 3, Rng(seed))
@@ -524,7 +527,7 @@ class TestPrunedPerturbation:
     def test_unit_gaussian_table_falls_back_to_full_row(self, monkeypatch, mode):
         table = unit_gaussian_table()
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, scoring_mode=mode)
-        doc = TokenIdSeq(ids=(3, 7, 3, 511, 0))
+        doc = (3, 7, 3, 511, 0)
         measured = record_range_query_kernel_calls(monkeypatch)
         perturb_document(doc, table, cfg, 3, Rng(43))
         # every row is within the radius, so the screen keeps them all
@@ -555,7 +558,7 @@ class TestPrunedPerturbation:
 class TestPerturbedJsonl:
     def test_round_trip(self, tmp_path, rantext_cfg):
         _, table = line_vocab_table([0.0, 1.0, 2.0])
-        doc = TokenIdSeq(ids=(0, 1, 2))
+        doc = (0, 1, 2)
         docs = perturb_document(doc, table, rantext_cfg, 2, Rng(3))
         path = tmp_path / "out.jsonl"
         write_perturbed_jsonl(path, docs, seed=3, cfg=rantext_cfg, texts=["aa", "bb"])
@@ -570,7 +573,7 @@ class TestPerturbedJsonl:
 
     def test_failed_write_keeps_previous_file(self, tmp_path, rantext_cfg, monkeypatch):
         _, table = line_vocab_table([0.0, 1.0, 2.0])
-        docs = perturb_document(TokenIdSeq(ids=(0, 1, 2)), table, rantext_cfg, 3, Rng(3))
+        docs = perturb_document((0, 1, 2), table, rantext_cfg, 3, Rng(3))
         path = tmp_path / "out.jsonl"
         write_perturbed_jsonl(path, docs[:1], seed=99, cfg=rantext_cfg)
         before = path.read_bytes()
@@ -592,7 +595,7 @@ class TestPerturbedJsonl:
 
     def test_redact_omits_originals(self, tmp_path, rantext_cfg):
         _, table = line_vocab_table([0.0, 1.0])
-        docs = perturb_document(TokenIdSeq(ids=(0, 1)), table, rantext_cfg, 1, Rng(1))
+        docs = perturb_document((0, 1), table, rantext_cfg, 1, Rng(1))
         path = tmp_path / "out.jsonl"
         write_perturbed_jsonl(path, docs, seed=1, cfg=rantext_cfg, redact=True)
         records = read_perturbed_jsonl(path)
@@ -614,8 +617,8 @@ class TestAdjacencySampleInvariants:
             from dptext.mechanisms import PerturbedDocument
 
             PerturbedDocument(
-                original_ids=TokenIdSeq(ids=(0, 1)),
-                perturbed_ids=TokenIdSeq(ids=(0,)),
+                original_ids=(0, 1),
+                perturbed_ids=(0,),
                 doc_index=1,
                 adjacency_sizes=(1,),
             )

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import dptext.fileio as fileio
 import dptext.pipeline as pipeline
 from dptext.dpcore import Rng
 from dptext.errors import (
@@ -366,7 +367,7 @@ class TestRunRecordPersistence:
             fh.write('{"run_id": "run-x", "raw_doc')
             raise OSError("disk full")
 
-        monkeypatch.setattr(pipeline, "json", types.SimpleNamespace(dump=dump_then_fail))
+        monkeypatch.setattr(fileio, "json", types.SimpleNamespace(dump=dump_then_fail))
         with pytest.raises(OSError, match="disk full"):
             save_run_record(_record(restored_text="new"), tmp_path)
         assert Path(path).read_bytes() == before
@@ -377,7 +378,7 @@ class TestRunRecordPersistence:
             fh.write("{")
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pipeline, "json", types.SimpleNamespace(dump=fail))
+        monkeypatch.setattr(fileio, "json", types.SimpleNamespace(dump=fail))
         with pytest.raises(KeyboardInterrupt):
             save_run_record(_record(), tmp_path)
         assert list(tmp_path.iterdir()) == []

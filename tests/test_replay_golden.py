@@ -19,7 +19,7 @@ import numpy as np
 
 from dptext.dpcore import Rng
 from dptext.mechanisms import MechanismConfig, perturb_document
-from dptext.vocab import EmbeddingTable, TokenIdSeq
+from dptext.vocab import EmbeddingTable
 
 GOLDEN = Path(__file__).parent / "goldens" / "replay.golden.json"
 SEED = 11
@@ -54,8 +54,7 @@ def _fixtures():
 
 def replay() -> dict:
     out = {}
-    for fixture, table, ids in _fixtures():
-        doc = TokenIdSeq(ids=ids)
+    for fixture, table, doc in _fixtures():
         for label, params in MECHANISMS:
             for eps in EPSILONS:
                 cfg = MechanismConfig(epsilon_em=eps, **params)

@@ -90,19 +90,6 @@ class TestCheckEmDp:
         assert result.worst_case == 0.0
         assert result.passed
 
-    def test_dict_form_score_table(self):
-        table = {
-            ("x", "a"): 1.0, ("x", "b"): 0.0,
-            ("y", "a"): 0.0, ("y", "b"): 1.0,
-        }
-        result = check_em_dp(table, epsilon=1.0)
-        assert result.worst_case == pytest.approx(0.5, abs=1e-12)
-
-    def test_inconsistent_candidate_sets_contract(self):
-        table = {("x", "a"): 1.0, ("x", "b"): 0.0, ("y", "a"): 0.0}
-        with pytest.raises(ContractError, match="inconsistent"):
-            check_em_dp(table, epsilon=1.0)
-
     def test_scores_outside_unit_interval_contract(self):
         with pytest.raises(ContractError):
             check_em_dp([[1.5, 0.0]], epsilon=1.0)
