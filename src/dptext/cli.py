@@ -24,7 +24,7 @@ from . import verify as verify_mod
 from .config import AppConfig, apply_mechanism_overrides, load_app_config, sensitivity
 from .dpcore import Rng
 from .errors import ConfigError, ContractError, DpTextError
-from .fileio import read_text, write_json
+from .fileio import cannot_write, read_text, require_writable, write_json
 from .mechanisms import (
     KINDS,
     SCORING_MODES,
@@ -79,6 +79,7 @@ def _load_corpus(cfg: AppConfig):
 
 
 def cmd_perturb(cfg: AppConfig, args) -> int:
+    require_writable(args.out)
     vocab, table = _load_corpus(cfg)
     text = read_text(args.input, ConfigError)
     seed = cfg.resolved_seed()
@@ -115,6 +116,9 @@ def cmd_run(cfg: AppConfig, args) -> int:
         remote = HttpLlmClient(remote_cfg)
         local = HttpLlmClient(cfg.restore)
         pool = {"max_concurrent": remote_cfg.max_concurrent}
+    # once every input checks out, and before any remote call
+    with cannot_write(cfg.runs_dir):
+        os.makedirs(cfg.runs_dir, exist_ok=True)
     seed = cfg.resolved_seed()
     record = run_privinfer(
         text, vocab, table, cfg.mechanism, cfg.n_docs, remote, local, Rng(seed), **pool
@@ -130,6 +134,8 @@ def cmd_run(cfg: AppConfig, args) -> int:
 
 
 def cmd_attack(cfg: AppConfig, args) -> int:
+    if args.out:
+        require_writable(args.out)
     records = read_perturbed_jsonl(args.perturbed)
     if not records:
         raise ContractError(f"no perturbed documents in {args.perturbed}")
@@ -199,6 +205,8 @@ def cmd_attack(cfg: AppConfig, args) -> int:
 
 
 def cmd_metrics(cfg: AppConfig, args) -> int:
+    if args.out:
+        require_writable(args.out)
     rows = []
     reports = []
     for path in args.runs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import threading
@@ -27,6 +28,20 @@ def cannot_write(path):
         yield
     except OSError as exc:
         raise RecordFileError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def require_writable(path) -> None:
+    """Raise, before any work is spent on its content, the ``RecordFileError``
+    that writing ``path`` through ``atomic_write`` would: ``path`` must not be
+    a directory, and its directory must be an existing, writable one."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    with cannot_write(path):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        if not os.access(directory, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
 @contextmanager

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,19 +183,24 @@ def compute_random_adjacency(
     origin's embedding; the adjacency is every token whose embedding lies
     within the noise norm of the original embedding.
     """
-    return next(_random_adjacencies(origin, table, cfg, [rng]))
+    query = next(table.range_queries([table.vector(origin)]))
+    return next(_random_adjacencies(origin, table, cfg, [rng], query))
 
 
 def _random_adjacencies(
-    origin: int, table: EmbeddingTable, cfg: MechanismConfig, streams: Sequence[Rng]
+    origin: int,
+    table: EmbeddingTable,
+    cfg: MechanismConfig,
+    streams: Sequence[Rng],
+    query: Callable[[float], tuple[np.ndarray, np.ndarray]],
 ) -> Iterator[AdjacencySample]:
     """One random adjacency of ``origin`` per stream, each the
     ``compute_random_adjacency`` of its stream alone: every stream's noise is
-    drawn first, then one ``EmbeddingTable.within`` query at the largest noise
-    norm serves every draw, cut at its own radius as it is consumed."""
+    drawn first, then ``query``, the origin's range query, at the largest
+    noise norm serves every draw, cut at its own radius as it is consumed."""
     noises = [_adjacency_noise(table, cfg, stream) for stream in streams]
     vec = table.vector(origin)
-    ids, d = table.within(vec, max(r for _, r in noises))
+    ids, d = query(max(r for _, r in noises))
     return (_radius_cut(origin, r, vec + noise, ids, d) for noise, r in noises)
 
 
@@ -279,37 +284,47 @@ def perturb_token(
     origin: int, table: EmbeddingTable, cfg: MechanismConfig, rng: Rng
 ) -> tuple[int, AdjacencySample]:
     """Replace one token: build its adjacency, score, and sample a candidate."""
-    return next(_perturb_origin(origin, table, cfg, [rng]))
+    return next(_perturb_origins([origin], table, cfg, [[rng]]))
 
 
-def _perturb_origin(
-    origin: int, table: EmbeddingTable, cfg: MechanismConfig, streams: Sequence[Rng]
+def _perturb_origins(
+    origins: Sequence[int],
+    table: EmbeddingTable,
+    cfg: MechanismConfig,
+    streams: Iterable[Sequence[Rng]],
 ) -> Iterator[tuple[int, AdjacencySample]]:
-    """Perturb ``origin`` once per stream, yielding each draw's token and its
-    scored adjacency. Every token perturbation runs here, with one distance
-    query for all of the origin's draws:
+    """Perturb each origin once per stream of its own list (the i-th list of
+    ``streams``), yielding each draw's token and its scored adjacency, origin
+    by origin. Every token perturbation runs here, with one distance query
+    per origin for all of its draws:
 
-    * rantext cuts each draw's adjacency from one range query
+    * rantext takes the origins' range queries from
+      ``EmbeddingTable.range_queries``, which screens each block of origins
+      with one GEMM. Each origin cuts every draw's adjacency from its query
       (``_random_adjacencies``), then scores it and samples from its stream;
     * topk and global build the origin's one fixed adjacency, score it once,
       and sample every draw from it.
 
     With distinct streams each draw is ``perturb_token`` on its stream alone.
     A stream given more than once serves its draws in turn, but rantext draws
-    every noise before any sample. Adjacencies are made as they are consumed,
-    so memory holds one at a time.
+    every noise of an origin before any sample. Streams lists are read one
+    origin at a time, and adjacencies are made as they are consumed, so
+    memory holds one adjacency and one screen block at a time.
     """
-    if cfg.kind == "rantext":
-        samples = _random_adjacencies(origin, table, cfg, streams)
-    elif cfg.kind == "topk":
-        samples = [topk_adjacency(origin, table, cfg.top_k)] * len(streams)
-    else:
-        samples = [global_adjacency(origin, table)] * len(streams)
-    for sample, stream in zip(samples, streams):
-        if sample.probs is None:
-            sample.scores = score_candidates(sample, table, cfg)
-            sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
-        yield int(sample.candidates[sample_categorical(sample.probs, stream)]), sample
+    # lazy: nothing is screened unless rantext asks for a query
+    queries = table.range_queries(table.vector(o) for o in origins)
+    for origin, draws in zip(origins, streams):
+        if cfg.kind == "rantext":
+            samples = _random_adjacencies(origin, table, cfg, draws, next(queries))
+        elif cfg.kind == "topk":
+            samples = [topk_adjacency(origin, table, cfg.top_k)] * len(draws)
+        else:
+            samples = [global_adjacency(origin, table)] * len(draws)
+        for sample, stream in zip(samples, draws):
+            if sample.probs is None:
+                sample.scores = score_candidates(sample, table, cfg)
+                sample.probs = exp_mechanism_probs(sample.scores, cfg.epsilon_em, 1.0)
+            yield int(sample.candidates[sample_categorical(sample.probs, stream)]), sample
 
 
 def perturb_document(
@@ -323,8 +338,11 @@ def perturb_document(
 
     Token i of copy j draws from the child stream keyed (j, i), so copies
     are replayable and order-independent, and each equals
-    ``perturb_token(origin, table, cfg, rng.child(j, i))``. Every draw of one
-    origin runs in one ``_perturb_origin`` call, on one distance query.
+    ``perturb_token(origin, table, cfg, rng.child(j, i))``. One
+    ``_perturb_origins`` call runs every draw, one distance query per
+    distinct origin; for rantext one screen GEMM serves each block of
+    distinct origins, so a document of up to ``_SCREEN_BYTES // (4|V|)`` of
+    them reads the table once.
     """
     if n_docs < 1:
         raise ContractError(f"n_docs must be >= 1, got {n_docs}")
@@ -332,15 +350,14 @@ def perturb_document(
     positions: dict[int, list[int]] = {}
     for i, origin in enumerate(doc):
         positions.setdefault(origin, []).append(i)
+    draws = [[(j, i) for j in range(n_docs) for i in where] for where in positions.values()]
+    streams = ([rng.child(j + 1, i) for j, i in each] for each in draws)
+    tokens = _perturb_origins(list(positions), table, cfg, streams)
     perturbed = [[0] * len(doc) for _ in range(n_docs)]
     sizes = [[0] * len(doc) for _ in range(n_docs)]
-    for origin, where in positions.items():
-        draws = [(j, i) for j in range(n_docs) for i in where]
-        streams = [rng.child(j + 1, i) for j, i in draws]
-        tokens = _perturb_origin(origin, table, cfg, streams)
-        for (j, i), (token, sample) in zip(draws, tokens):
-            perturbed[j][i] = token
-            sizes[j][i] = int(sample.candidates.size)
+    for (j, i), (token, sample) in zip((ji for each in draws for ji in each), tokens):
+        perturbed[j][i] = token
+        sizes[j][i] = int(sample.candidates.size)
     return [
         PerturbedDocument(
             original_ids=doc,

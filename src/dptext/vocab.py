@@ -17,11 +17,12 @@ across concurrent readers.
 from __future__ import annotations
 
 import base64
+import functools
 import heapq
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +42,9 @@ MERGES_MAGIC = "DPTEXT-MERGES v1"
 # bytes of one float64 block of rows in the distance kernel: small enough to
 # stay in cache, large enough that the per-block overhead is noise
 _BLOCK_BYTES = 1 << 18
+# bytes of one float32 block of screens in a range query: the queries screened
+# by one GEMM, |V| values each; the table is read once per block
+_SCREEN_BYTES = 1 << 22
 
 
 def _require_id(token_id: int, size: int) -> None:
@@ -153,15 +157,41 @@ class EmbeddingTable:
     def within(self, vec, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the rows within ``radius`` of ``vec``, ascending, and their
         distances: exactly ``ids = np.nonzero(d <= radius)[0]`` and ``d[ids]``
-        for ``d = distances_from(vec)``, bit for bit.
+        for ``d = distances_from(vec)``, bit for bit. The one-query case of
+        ``range_queries``."""
+        return next(self.range_queries([vec]))(radius)
 
-        The screen keeps every row it cannot rule out, and only those are
-        measured, with ``distances_from``'s kernel.
+    def range_queries(
+        self, vecs: Iterable
+    ) -> Iterator[Callable[[float], tuple[np.ndarray, np.ndarray]]]:
+        """One range query per vector of ``vecs``, in order: the function that
+        maps a radius to ``within(vec, radius)``, callable for any number of
+        radii.
+
+        ``vecs`` is read one block of ``_SCREEN_BYTES // (4|V|)`` vectors (at
+        least one) at a time, and one float32 GEMM screens the whole block, so
+        the table is read once per block. A query's cut keeps every row its
+        screen cannot rule out at that radius, and only those are measured,
+        with ``distances_from``'s kernel. Memory beyond the caller's is one
+        block of screens, once the caller drops the previous block's queries.
         """
-        v = self._query(vec)
+        per_block = max(1, _SCREEN_BYTES // (4 * len(self)))
+        vecs = iter(vecs)
+        while block := [self._query(v) for v in itertools.islice(vecs, per_block)]:
+            yield from self._screened(block)
+
+    def _screened(self, block: list[np.ndarray]):
+        # a generator of its own, so a screened block is freed once its
+        # queries are
+        screens, bounds = self._screen(block)
+        for v, screen, bound in zip(block, screens, bounds):
+            yield functools.partial(self._cut, v, screen, bound)
+
+    def _cut(
+        self, v: np.ndarray, screen: np.ndarray, bound: float, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         if not radius >= 0:
             raise ContractError(f"radius must be >= 0, got {radius}")
-        screen, bound = self._screen(v)
         # |v - r|² <= R² is r.v - |r|²/2 >= (|v|² - R²)/2; a NaN floor, which
         # only an infinite bound gives, keeps every row
         floor = 0.5 * (v @ v - radius * radius) - bound
@@ -209,10 +239,26 @@ class EmbeddingTable:
         np.sqrt(out, out=out)
         return out[:1] if lone else out
 
-    def _screen(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """``r.v - |r|²/2`` for every row r, by one float32 pass, and a bound
-        on its error that holds for every row: a row is nearer to ``v`` the
-        larger its value, since ``|v - r|² = |v|² - 2(r.v - |r|²/2)``."""
+    def _screen(self, block: list[np.ndarray]) -> tuple[np.ndarray, list[float]]:
+        """``r.v - |r|²/2`` for every row r and every float64 query v of
+        ``block``, by one float32 GEMM, and per query a bound on its error that
+        holds for every row: a row is nearer to ``v`` the larger its value,
+        since ``|v - r|² = |v|² - 2(r.v - |r|²/2)``. A query beyond float32's
+        range gets an infinite bound, and its screen values go unused."""
+        # Python floats per query, not arrays: a block holds few queries, and
+        # array arithmetic would cost the one-query k-nearest path more
+        bounds = [self._bound(v) for v in block]
+        if min(bounds) == np.inf:  # the half-norms may not fit float32 either
+            return np.zeros((len(block), len(self)), dtype=np.float32), bounds
+        if max(bounds) == np.inf:  # their float32 products could overflow
+            block = [np.zeros(self.dim) if b == np.inf else v for v, b in zip(block, bounds)]
+        screens = np.array(block, dtype=np.float32) @ self.rows.T
+        screens -= self._half_sq
+        return screens, bounds
+
+    def _bound(self, v: np.ndarray) -> float:
+        """The screen's error bound for query ``v``, the same for every row;
+        infinite where a float32 value could overflow."""
         # Let u = 2**-24, D the dimension and s = (|v| + max|r|)**2. A float32
         # sum of D products errs by at most γ_D = Du/(1 - Du) times the sum of
         # their magnitudes, in any order, FMA or not (Higham, Accuracy and
@@ -226,10 +272,8 @@ class EmbeddingTable:
         # subnormals. Below s = 2**120 no float32 value overflows.
         scale = (np.linalg.norm(v) + self._max_norm) ** 2
         if not scale < 2.0**120:
-            return np.zeros(len(self), dtype=np.float32), np.inf
-        screen = self.rows @ v.astype(np.float32)
-        screen -= self._half_sq
-        return screen, (self.dim + 8) * (2.0**-23 * scale + 2.0**-149)
+            return np.inf
+        return (self.dim + 8) * (2.0**-23 * scale + 2.0**-149)
 
     def _nearest(
         self, v: np.ndarray, k: int, first: int | None = None
@@ -242,7 +286,7 @@ class EmbeddingTable:
         Every row within the k-th nearest distance screens at least the k-th
         largest screen value minus twice the bound; only those are measured.
         """
-        screen, bound = self._screen(v)
+        (screen,), (bound,) = self._screen([v])
         kth = np.partition(screen, len(self) - k)[len(self) - k]
         ids = np.nonzero(screen >= np.float64(kth) - 2 * bound)[0]
         d = self._distances(v, ids)

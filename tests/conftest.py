@@ -57,6 +57,19 @@ def record_kernel_calls(monkeypatch):
     return measured
 
 
+def record_screen_blocks(monkeypatch):
+    """Record how many queries each screen GEMM takes from now on."""
+    blocks = []
+    screen = EmbeddingTable._screen
+
+    def spy(self, vs):
+        blocks.append(len(vs))
+        return screen(self, vs)
+
+    monkeypatch.setattr(EmbeddingTable, "_screen", spy)
+    return blocks
+
+
 def write_vocab_file(path, tokens):
     lines = [f"DPTEXT-VOCAB v1 {len(tokens)}"]
     for i, tok in enumerate(tokens):

@@ -182,7 +182,7 @@ def _trend_privacy(table, nn_sets, kind, eps, seed, draws_per_origin):
     recovered = total = 0
     for origin in range(len(table)):
         streams = [rng.child(origin, d) for d in range(draws_per_origin)]
-        for out, _ in mechanisms._perturb_origin(origin, table, cfg, streams):
+        for out, _ in mechanisms._perturb_origins([origin], table, cfg, [streams]):
             total += 1
             if origin in nn_sets[out]:
                 recovered += 1

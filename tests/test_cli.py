@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dptext
+import dptext.cli as cli
 import dptext.fileio as fileio
 import dptext.pipeline as pipeline
 from dptext.attacks import (
@@ -605,6 +606,38 @@ def test_bad_input_file_is_an_error_line(case, corpus, tmp_path, capsys):
     assert err.startswith("error: ") and names in err, err
     assert err.count("\n") == 1 and "Traceback" not in err and ".tmp" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", [
+    "perturb-out-missing-dir", "perturb-out-is-dir", "attack-out-missing-dir",
+    "metrics-out-missing-dir", "run-runs-dir-is-file",
+])
+def test_unwritable_output_fails_before_any_work(case, corpus, tmp_path, capsys,
+                                                 monkeypatch):
+    # the output is checked before the work: no perturbation, no remote call
+    # and no summary come before the error line
+    clients, work = [], []
+
+    class CountingClient(pipeline.MockLlmClient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            clients.append(self)
+
+    monkeypatch.setattr(cli, "MockLlmClient", CountingClient)
+    for name in ("_load_corpus", "perturb_document", "run_privinfer"):
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            work.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    argv, names = _bad_input_argv(case, corpus, tmp_path)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and names in err and err.count("\n") == 1, err
+    assert sum(len(c.calls) for c in clients) == 0
+    # run makes its runs directory, so it first checks its inputs
+    assert work == (["_load_corpus"] if case.startswith("run") else [])
 
 
 @pytest.mark.parametrize("command, message", [

@@ -32,6 +32,7 @@ from .conftest import (
     clustered_table,
     line_vocab_table,
     record_kernel_calls,
+    record_screen_blocks,
     unit_gaussian_table,
 )
 
@@ -74,19 +75,20 @@ def full_row_perturb_oracle(origin, table, cfg, rng):
 
 
 def record_range_query_kernel_calls(monkeypatch):
-    """``record_kernel_calls`` restricted to the kernel calls that
-    ``EmbeddingTable.within`` makes (paper-final scoring calls it too)."""
+    """``record_kernel_calls`` restricted to the kernel calls that range
+    queries make, one per cut, ``EmbeddingTable._cut`` (paper-final scoring
+    calls the kernel too)."""
     measured = record_kernel_calls(monkeypatch)
-    within = EmbeddingTable.within
+    cut = EmbeddingTable._cut
     inside = []
 
-    def spy(self, vec, radius):
+    def spy(self, *args):
         start = len(measured)
-        result = within(self, vec, radius)
+        result = cut(self, *args)
         inside.extend(measured[start:])
         return result
 
-    monkeypatch.setattr(EmbeddingTable, "within", spy)
+    monkeypatch.setattr(EmbeddingTable, "_cut", spy)
     return inside
 
 
@@ -387,7 +389,7 @@ class TestPerturbToken:
         rng = Rng(99)
         counts = np.zeros(4)
         n = 10**5
-        for token, _ in mechanisms._perturb_origin(1, table, cfg, [rng] * n):
+        for token, _ in mechanisms._perturb_origins([1], table, cfg, [[rng] * n]):
             counts[token] += 1
         assert np.max(np.abs(counts / n - 0.25)) < 0.01
 
@@ -466,10 +468,10 @@ class TestPerturbDocument:
         MechanismConfig(kind="global", epsilon_em=2.0),
     ], ids=lambda c: c.kind)
     def test_one_distance_row_per_distinct_origin(self, monkeypatch, cfg):
-        # per distinct origin, rantext makes one range query, topk one
+        # per distinct origin, rantext makes one range query's cut, topk one
         # k-nearest query and global one full row, and nothing else
         _, table = line_vocab_table([0.0, 0.5, 1.0, 2.0, 4.0])
-        calls = {"within": [], "_nearest": [], "distances_from": []}
+        calls = {"within": [], "_cut": [], "_nearest": [], "distances_from": []}
         for name in calls:
             method = getattr(EmbeddingTable, name)
 
@@ -480,7 +482,7 @@ class TestPerturbDocument:
             monkeypatch.setattr(EmbeddingTable, name, counted)
         doc = (3, 0, 3, 1, 0, 3, 2)
         perturb_document(doc, table, cfg, 3, Rng(5))
-        query = {"rantext": "within", "topk": "_nearest", "global": "distances_from"}
+        query = {"rantext": "_cut", "topk": "_nearest", "global": "distances_from"}
         assert sorted(calls.pop(query[cfg.kind])) == [0.0, 0.5, 1.0, 2.0]
         assert all(made == [] for made in calls.values())
 
@@ -533,6 +535,39 @@ class TestPrunedPerturbation:
         # every row is within the radius, so the screen keeps them all
         assert measured == [len(table)] * len(set(doc))
         self._assert_replays(doc, table, cfg, 43)
+
+    @pytest.mark.parametrize("per_block, blocks", [(2, [2, 2, 2, 2]), (3, [3, 3, 2]),
+                                                   (None, [8])])
+    def test_one_screen_per_block_of_distinct_origins(self, monkeypatch, per_block, blocks):
+        table = clustered_table()
+        cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.2,
+                              laplace_sensitivity=1.0)
+        want = perturb_document(self.DOC, table, cfg, 3, Rng(41))
+        if per_block is not None:
+            monkeypatch.setattr(vocab_module, "_SCREEN_BYTES", 4 * len(table) * per_block)
+        screened = record_screen_blocks(monkeypatch)
+        assert perturb_document(self.DOC, table, cfg, 3, Rng(41)) == want
+        assert screened == blocks
+
+    def test_memory_does_not_grow_with_distinct_origins(self, monkeypatch):
+        # unit-norm rows: every adjacency is the whole vocabulary. Sixteen
+        # queries to a screen block, so 200 origins take 13 blocks
+        table = unit_gaussian_table(size=4096, dim=64)
+        monkeypatch.setattr(vocab_module, "_SCREEN_BYTES", 16 * 4 * len(table))
+        cfg = MechanismConfig(kind="rantext", epsilon_em=2.0)
+        perturb_document((0, 1), table, cfg, 3, Rng(0))
+        for n in (8, 200):
+            doc = tuple(range(n))
+            tracemalloc.start()
+            try:
+                docs = perturb_document(doc, table, cfg, 3, Rng(n))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert {s for d in docs for s in d.adjacency_sizes} == {len(table)}
+            # the screen block, one adjacency and its kernel blocks: 32
+            # float64 values a row, whatever the number of origins
+            assert peak < vocab_module._SCREEN_BYTES + 32 * 8 * len(table)
 
     def test_concurrent_first_queries_agree(self):
         cfg = MechanismConfig(kind="rantext", epsilon_em=2.0, epsilon_lap=1.2,

@@ -37,6 +37,7 @@ from .conftest import (
     clustered_table,
     make_vocab,
     record_kernel_calls,
+    record_screen_blocks,
     write_emb_file,
     write_merges_file,
     write_vocab_file,
@@ -742,6 +743,73 @@ class TestWithin:
             table.within(np.zeros(2), -1.0)
         with pytest.raises(ContractError, match="radius"):
             table.within(np.zeros(2), float("nan"))
+
+
+class TestRangeQueries:
+    """``range_queries`` screens each block of queries with one GEMM; every
+    query's cut equals ``within``'s and the full-row cut, bit for bit."""
+
+    @pytest.mark.parametrize("per_block", [1, 2, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                min_size=1, max_size=60,
+            )
+        ),
+        st.data(),
+    )
+    def test_block_query_equals_within_and_full_row_cut(self, per_block, rows, data):
+        # small integer grids: exact distances, ties and duplicate rows
+        table = EmbeddingTable(rows)
+        dim = table.dim
+        coords = st.integers(-2, 5).map(lambda c: c / 2)
+        query = st.one_of(
+            st.integers(0, len(rows) - 1).map(table.vector),
+            st.lists(coords, min_size=dim, max_size=dim).map(np.array),
+            # beyond the screen's range: an infinite bound keeps every row.
+            # 3e38 times a row overflows float32, so it must not reach the GEMM
+            st.sampled_from([1e30, 3e38]).map(lambda x: np.full(dim, x)),
+        )
+        vecs = data.draw(st.lists(query, min_size=1, max_size=16), label="queries")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vocab_module, "_SCREEN_BYTES", 4 * len(table) * per_block)
+            screened = record_screen_blocks(mp)
+            queries = list(table.range_queries(iter(vecs)))
+        whole, part = divmod(len(vecs), per_block)
+        assert screened == [per_block] * whole + [part] * (part > 0)
+        assert len(queries) == len(vecs)
+        for vec, cut in zip(vecs, queries):
+            full = table.distances_from(vec)
+            radii = [0.0, float(full.max()),
+                     data.draw(st.sampled_from(full.tolist()), label="tie radius"),
+                     data.draw(st.floats(0.0, 6.0), label="radius")]
+            for radius in radii:
+                ids, d = cut(radius)
+                want_ids, want_d = _full_row_cut(table, vec, radius)
+                assert np.array_equal(ids, want_ids) and np.array_equal(d, want_d)
+                one_ids, one_d = table.within(vec, radius)
+                assert np.array_equal(ids, one_ids) and np.array_equal(d, one_d)
+
+    def test_block_holds_the_budget(self, monkeypatch):
+        # 4 MB of float32 screens over 4,096 rows
+        table = clustered_table()
+        screened = record_screen_blocks(monkeypatch)
+        for cut in table.range_queries(table.vector(i) for i in range(300)):
+            cut(6.0)
+        assert screened == [256, 44]
+
+    def test_contract(self):
+        table = EmbeddingTable([[0.0, 0.0], [3.0, 4.0]])
+        cut = next(table.range_queries([np.zeros(2)]))
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(ContractError, match="radius"):
+                cut(radius)
+        # a block's vectors are all checked before it is screened
+        with pytest.raises(ContractError, match="dimension"):
+            next(table.range_queries([np.zeros(2), np.zeros(3)]))
+        assert list(table.range_queries([])) == []
 
 
 def _full_row_nearest(table, vec, k, first=None):
